@@ -89,6 +89,20 @@ func BenchmarkSwitchQuiesce(b *testing.B) {
 	b.Run("members=3", benchkit.SwitchQuiesce(3))
 }
 
+// BenchmarkDeliver measures the per-packet receive path: one NAK:COM
+// data or status packet through Endpoint.Deliver into a 10-member
+// group; see benchkit.Deliver.
+func BenchmarkDeliver(b *testing.B) {
+	for _, kind := range benchkit.DeliverKinds {
+		b.Run("kind="+kind, benchkit.Deliver(kind))
+	}
+}
+
+// BenchmarkLoadTick is the cluster-scale fabric number: one broadcast
+// in each of 100 ten-member groups, delivery included; see
+// benchkit.LoadTick.
+func BenchmarkLoadTick(b *testing.B) { benchkit.LoadTick(b) }
+
 // BenchmarkHeaderPushPop measures the §10 item 3 costs: six layers
 // pushing word-aligned headers and popping them on delivery, versus
 // the proposed precomputed compact header (BenchmarkCompactHeader).

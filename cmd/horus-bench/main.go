@@ -653,6 +653,10 @@ func runSuite() (benchSnapshot, error) {
 			fmt.Sprintf("FragRoundTrip/size=%d", size), benchkit.FragRoundTrip(size)})
 	}
 	suite = append(suite, namedBench{"SwitchQuiesce/members=3", benchkit.SwitchQuiesce(3)})
+	for _, kind := range benchkit.DeliverKinds {
+		suite = append(suite, namedBench{"Deliver/kind=" + kind, benchkit.Deliver(kind)})
+	}
+	suite = append(suite, namedBench{"LoadTick", benchkit.LoadTick})
 
 	snap := benchSnapshot{
 		Suite:     "horus-bench",

@@ -1,11 +1,11 @@
 // Package ownlint tracks the ownership of pooled messages statically.
 // The pool contract (internal/message/pool.go) says: a message from
 // message.Get is owned by the caller until it is handed to a cast
-// downcall; from then on the stack owns it, and the compiled fast path
-// releases it automatically once the wire image has left. Compiled
-// layers never retain the original. Runtime panics catch violations
-// the tests happen to execute; this analyzer catches them on every
-// path the code has.
+// downcall; from then on the stack owns it and releases it once the
+// wire image has left — the compiled plan after its transmit, the
+// reference path in Context.Transmit. No layer retains the original.
+// Runtime panics catch violations the tests happen to execute; this
+// analyzer catches them on every path the code has.
 //
 // Tracked per function, path-sensitively (hcpilint's branch-join
 // discipline: clone at forks, intersect at joins):
@@ -16,8 +16,8 @@
 //   - double Release — including the branch-divergent shape where one
 //     arm released and the fall-through releases again;
 //   - release or use after the message was handed to a cast downcall
-//     (Down/Cast/Transmit/Send) — the fast path may already have
-//     released it;
+//     (Down/Cast/Transmit/Send) — the stack may already have released
+//     it, on either send path;
 //   - escape into retained storage: a pooled message stored into a
 //     receiver field or package variable, sent on a channel, captured
 //     by a goroutine, or passed to a same-package helper whose
@@ -25,7 +25,7 @@
 //     case, reported with the call chain).
 //
 // Releasing on only some branches is legal by itself — "Release is an
-// optimization, never an obligation" on the reference path — so the
+// optimization, never an obligation" — so the
 // divergence is flagged only when the message is used or released
 // again afterwards. Aliases created by plain assignment, ev.Msg
 // stores, and Event composite literals share one ownership cell.
@@ -583,9 +583,9 @@ func (w *walker) handleRelease(st *state, pos token.Pos, cs *cellState) {
 		cs.st = released
 		cs.c.event = pos
 	case handed:
-		w.report(pos, "release of pooled message %s after it was handed to the stack at %s — the compiled fast path releases it; this double-puts when the plan runs", cs.c.name, w.shortPos(cs.c.event))
+		w.report(pos, "release of pooled message %s after it was handed to the stack at %s — the stack releases it once transmitted, on either send path; this double-puts", cs.c.name, w.shortPos(cs.c.event))
 	case maybeHanded:
-		w.report(pos, "release of pooled message %s after it may have been handed to the stack at %s — the compiled fast path releases it; this double-puts when the plan runs", cs.c.name, w.shortPos(cs.c.event))
+		w.report(pos, "release of pooled message %s after it may have been handed to the stack at %s — the stack releases it once transmitted, on either send path; this double-puts", cs.c.name, w.shortPos(cs.c.event))
 	}
 }
 
@@ -597,9 +597,9 @@ func (w *walker) checkUse(st *state, pos token.Pos, cs *cellState, how string) {
 	case maybeReleased:
 		w.report(pos, "use of pooled message %s after release when the branch at %s is taken (%s)", cs.c.name, w.shortPos(cs.c.event), how)
 	case handed:
-		w.report(pos, "use of pooled message %s after hand-off to the stack at %s (%s) — the fast path may already have released it", cs.c.name, w.shortPos(cs.c.event), how)
+		w.report(pos, "use of pooled message %s after hand-off to the stack at %s (%s) — the stack may already have released it", cs.c.name, w.shortPos(cs.c.event), how)
 	case maybeHanded:
-		w.report(pos, "use of pooled message %s after possible hand-off at %s (%s) — the fast path may already have released it", cs.c.name, w.shortPos(cs.c.event), how)
+		w.report(pos, "use of pooled message %s after possible hand-off at %s (%s) — the stack may already have released it", cs.c.name, w.shortPos(cs.c.event), how)
 	}
 }
 

@@ -154,7 +154,8 @@ func (nullTransport) Now() time.Duration                                  { retu
 // fully compilable stack (HBEAT:CHKSUM:COM) over a null transport,
 // with pooled message buffers: the fast variant must run at zero
 // allocations per cast in steady state, the ref variant pins the
-// per-layer push/pop path for comparison.
+// per-layer push/pop path for comparison. Both paths release the
+// pooled message once its wire image has left.
 func CompiledCast(fast bool) func(*testing.B) {
 	return func(b *testing.B) {
 		ep := core.NewEndpoint(core.EndpointID{Site: "bench", Birth: 1}, nullTransport{})
@@ -175,13 +176,6 @@ func CompiledCast(fast bool) func(*testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev.Msg = message.Get(body)
 				g.Stack().Down(ev)
-				if !fast {
-					// The reference path does not consume the message;
-					// recycle it by hand to keep the comparison about
-					// traversal cost, not pool discipline.
-					//horus:own-ok — SetFastPath(false) above means the plan never ran, so the stack cannot have released ev.Msg
-					ev.Msg.Release()
-				}
 			}
 		})
 		b.StopTimer()

@@ -129,7 +129,9 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 
 // Deliver is called by the transport when wire bytes arrive for this
 // endpoint. Packets for groups this endpoint has not joined are
-// dropped, which lets transports broadcast on a shared medium.
+// dropped, which lets transports broadcast on a shared medium. Deliver
+// never retains wire: the bytes are copied into the packet's own slab
+// before Deliver returns, so a transport may pass a reused read buffer.
 func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	e.mu.Lock()
 	g := e.groups[group]
@@ -137,30 +139,35 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	if g == nil {
 		return
 	}
-	msg, err := message.Unmarshal(wire)
-	if err != nil {
+	in := new(inbound)
+	if err := message.UnmarshalInto(&in.msg, wire); err != nil {
 		// A garbled length prefix: indistinguishable from line noise,
 		// dropped exactly like a checksum failure would be.
 		return
 	}
-	e.exec.Do(func() {
-		defer func() {
-			// A garbled packet can corrupt a length prefix deep in a
-			// header, making a layer pop past the end of the message.
-			// That is line damage, not a program bug: drop the packet
-			// like any other loss (NAK repairs it) and count it. A
-			// CHKSUM layer placed low in the stack makes this path
-			// statistically unreachable, which is exactly the paper's
-			// §2 argument for that layer.
-			if r := recover(); r != nil {
-				e.mu.Lock()
-				e.malformed++
-				e.mu.Unlock()
-				e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
-			}
-		}()
-		g.stack.Up(&Event{Type: UPacket, Msg: msg})
-	})
+	in.ev = Event{Type: UPacket, Msg: &in.msg}
+	e.exec.push(task{g: g, in: in})
+}
+
+// upPacket runs one packet entry of the event queue: the arrival
+// enters the bottom of the group's stack.
+func (e *Endpoint) upPacket(g *Group, in *inbound) {
+	defer func() {
+		// A garbled packet can corrupt a length prefix deep in a
+		// header, making a layer pop past the end of the message.
+		// That is line damage, not a program bug: drop the packet
+		// like any other loss (NAK repairs it) and count it. A
+		// CHKSUM layer placed low in the stack makes this path
+		// statistically unreachable, which is exactly the paper's
+		// §2 argument for that layer.
+		if r := recover(); r != nil {
+			e.mu.Lock()
+			e.malformed++
+			e.mu.Unlock()
+			e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
+		}
+	}()
+	g.stack.Up(&in.ev)
 }
 
 // Malformed returns how many inbound packets were dropped because a

@@ -23,7 +23,8 @@ type fakeSend struct {
 }
 
 func (f *fakeTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
-	f.sent = append(f.sent, fakeSend{from, group, dests, wire})
+	// Transport contract: wire is the sender's scratch buffer, not ours.
+	f.sent = append(f.sent, fakeSend{from, group, dests, append([]byte(nil), wire...)})
 }
 
 func (f *fakeTransport) SetTimer(d time.Duration, fn func()) func() {

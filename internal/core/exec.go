@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"horus/internal/message"
+)
 
 // executor is the event-queue execution model the paper reports moving
 // to (§3 end, §10 item 2): rather than locking layers against
@@ -11,20 +15,53 @@ import "sync"
 // enqueued and run next, so application handlers may freely Cast.
 type executor struct {
 	mu      sync.Mutex
-	queue   []func()
+	queue   []task
 	head    int // next entry to run; queue[:head] is already done
 	running bool
 }
 
-// Do runs fn on the endpoint's event queue. If no drain is in
-// progress, the calling goroutine becomes the drainer and fn (plus any
-// work fn enqueues) executes synchronously before Do returns; if a
-// drain is already active — including the case where fn is enqueued
-// from inside a running event — fn is queued for that drainer and Do
+// task is one queue entry. Entries are typed rather than bare closures
+// so the per-packet path enqueues plain data: a packet entry names its
+// group and inbound object, and runs through Endpoint.upPacket without
+// a closure being allocated per arrival. Every other entry (Do) is a
+// closure in fn.
+type task struct {
+	fn func()   // closure entry; nil for a packet
+	g  *Group   // packet entry: the group whose stack receives it
+	in *inbound // packet entry: the parsed arrival
+}
+
+// inbound is one arrival's event and message in a single allocation.
+// The message's header and body share one slab (message.UnmarshalInto),
+// so a packet costs exactly two allocations on its way to the stack.
+// Layers that buffer the event (NAK pending, TOTAL buffer, ...) keep
+// the whole object alive; nothing recycles it.
+type inbound struct {
+	ev  Event
+	msg message.Message
+}
+
+// run executes one entry.
+func (t task) run() {
+	if t.fn != nil {
+		t.fn()
+		return
+	}
+	t.g.ep.upPacket(t.g, t.in)
+}
+
+// Do runs fn on the endpoint's event queue; see push.
+func (x *executor) Do(fn func()) { x.push(task{fn: fn}) }
+
+// push runs t on the endpoint's event queue. If no drain is in
+// progress, the calling goroutine becomes the drainer and t (plus any
+// work t enqueues) executes synchronously before push returns; if a
+// drain is already active — including the case where t is enqueued
+// from inside a running event — t is queued for that drainer and push
 // returns immediately.
-func (x *executor) Do(fn func()) {
+func (x *executor) push(t task) {
 	x.mu.Lock()
-	x.queue = append(x.queue, fn)
+	x.queue = append(x.queue, t)
 	if x.running {
 		x.mu.Unlock()
 		return
@@ -38,10 +75,10 @@ func (x *executor) Do(fn func()) {
 	// packet passes through here.
 	for x.head < len(x.queue) {
 		next := x.queue[x.head]
-		x.queue[x.head] = nil // release the closure for GC
+		x.queue[x.head] = task{} // release the entry for GC
 		x.head++
 		x.mu.Unlock()
-		next()
+		next.run()
 		x.mu.Lock()
 	}
 	x.queue = x.queue[:0]

@@ -107,9 +107,18 @@ func (c *Context) Up(ev *Event) {
 }
 
 // Transmit hands wire bytes for msg to the transport, addressed to
-// dests. Only the bottom (COM) layer calls this.
+// dests. Only the bottom (COM) layer calls this. The wire image is
+// rendered into the stack's reused scratch buffer (the transport must
+// not retain it), and a pooled msg is released afterwards: the
+// reference path's hand-off rule is the fast path's — once the wire
+// has left, the stack is done with the message.
 func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
-	c.TransmitWire(dests, msg.Marshal())
+	s := c.stack
+	s.wire = msg.MarshalTo(s.wire[:0])
+	c.TransmitWire(dests, s.wire)
+	if msg.Pooled() {
+		msg.Release()
+	}
 }
 
 // TransmitWire hands an already-rendered wire image to the transport.

@@ -16,6 +16,11 @@ type Stack struct {
 	skip      *skipTables
 	plan      *castPlan
 	destroyed bool
+
+	// wire is Context.Transmit's reused render buffer: the reference
+	// path marshals every transmission here. Only the event queue
+	// touches it, and transports never retain the bytes.
+	wire []byte
 }
 
 // newStack instantiates every factory in spec, wires contexts, runs

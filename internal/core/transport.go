@@ -14,10 +14,13 @@ type Transport interface {
 	// destination, best effort. An empty dests slice means "all
 	// endpoints attached to the group address" (used before any view
 	// is known, e.g. by merge discovery). The transport must not
-	// retain wire after Send returns: the compiled cast fast path
-	// passes a per-stack scratch buffer that is overwritten by the
-	// next cast. Both fabrics honour this — netsim copies per
-	// delivery, udpnet encodes into a fresh datagram.
+	// retain wire after Send returns: both send paths pass a per-stack
+	// scratch buffer (the compiled plan's, Context.Transmit's) that is
+	// overwritten by the next transmission. Both fabrics honour this —
+	// netsim copies once per fan-out, udpnet frames into its own
+	// buffer. The receive side mirrors the rule: Endpoint.Deliver
+	// never retains wire either, so a transport may deliver straight
+	// from a reused read buffer.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the

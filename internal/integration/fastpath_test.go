@@ -137,8 +137,10 @@ func fpBody(rng *rand.Rand, i int) []byte {
 }
 
 // runSimScenario executes one (stack, seed) cast schedule on the
-// deterministic fabric with the fast path toggled as given.
-func runSimScenario(t *testing.T, desc string, seed int64, fast bool) *fpRun {
+// deterministic fabric with the fast path toggled as given. pooled
+// casts draw their messages from the pool (message.Get), so the stack
+// releases each one after transmitting it.
+func runSimScenario(t *testing.T, desc string, seed int64, fast, pooled bool) *fpRun {
 	t.Helper()
 	r := newFPRun()
 	net := netsim.New(netsim.Config{Seed: seed, DefaultLink: netsim.Link{Delay: time.Millisecond}})
@@ -206,7 +208,11 @@ func runSimScenario(t *testing.T, desc string, seed int64, fast bool) *fpRun {
 		}
 		body := fpBody(rng, i)
 		net.At(base+time.Duration(i)*7*time.Millisecond, func() {
-			g.Cast(message.New(body))
+			if pooled {
+				g.Cast(message.Get(body))
+			} else {
+				g.Cast(message.New(body))
+			}
 		})
 	}
 	net.RunFor(3 * time.Second)
@@ -225,11 +231,17 @@ func TestFastPathDifferentialSim(t *testing.T) {
 		desc := desc
 		seed := int64(101 + si)
 		t.Run(desc, func(t *testing.T) {
-			fastRun := runSimScenario(t, desc, seed, true)
-			refRun := runSimScenario(t, desc, seed, false)
+			fastRun := runSimScenario(t, desc, seed, true, false)
+			refRun := runSimScenario(t, desc, seed, false, false)
 			requireSameRuns(t, "fast vs reference", fastRun, refRun)
-			replay := runSimScenario(t, desc, seed, true)
+			replay := runSimScenario(t, desc, seed, true, false)
 			requireSameRuns(t, "fast replay", fastRun, replay)
+			// The reference path releases pooled casts once they are
+			// transmitted: no layer may still hold (TOTAL's token
+			// queue, MBRSHIP's parked casts) or read the original
+			// afterwards, or this run diverges or panics.
+			pooledRef := runSimScenario(t, desc, seed, false, true)
+			requireSameRuns(t, "pooled reference vs reference", pooledRef, refRun)
 
 			names := property.ParseStack(desc)
 			if compilable := property.FastCastable(names); compilable != fastRun.hasPlan {
@@ -331,12 +343,17 @@ func runUDPScenario(t *testing.T, withFrag bool, seed int64, fast bool) *fpRun {
 		ga.Cast(message.New(body))
 		time.Sleep(time.Millisecond) // pace below any socket-buffer horizon
 	}
+	// Both members deliver every cast: a's own copies loop back through
+	// its proxy and may trail b's, so waiting for b alone would compare
+	// a half-drained run.
 	deadline := time.Now().Add(10 * time.Second)
-	for r.delivered("b") < casts && time.Now().Before(deadline) {
+	for (r.delivered("a") < casts || r.delivered("b") < casts) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := r.delivered("b"); got < casts {
-		t.Fatalf("b delivered %d of %d casts over UDP", got, casts)
+	for _, site := range []string{"a", "b"} {
+		if got := r.delivered(site); got < casts {
+			t.Fatalf("%s delivered %d of %d casts over UDP", site, got, casts)
+		}
 	}
 	r.stats = ga.Stack().PlanStats()
 	r.hasPlan = ga.Stack().HasCastPlan()

@@ -98,7 +98,9 @@ func (c *Com) Up(ev *core.Event) {
 		c.Ctx.Up(ev)
 		return
 	}
-	src := wire.PopEndpointID(ev.Msg)
+	// Senders are nearly always view members: borrow their identifier
+	// instead of allocating a copy of the site name per packet.
+	src := wire.PopEndpointIDIn(ev.Msg, c.members)
 	kind := ev.Msg.PopUint8()
 	ev.Source = src
 	switch kind {

@@ -236,11 +236,23 @@ type Mbrship struct {
 	destroyed    bool
 	stats        Stats
 
+	// Stability gossip scratch, reused across periods: the vector this
+	// member sends (gossipTick) and the last one it decoded
+	// (receiveGossip). Neither outlives the call that fills it.
+	gossipOut, gossipIn gossipVector
+
 	// fastLocal carries the logged copy of the cast in flight from the
 	// compiled plan's Fill hook to its Post hook (self-delivery). The
 	// endpoint executor runs each cast to completion before the next, so
 	// a single slot cannot be clobbered.
 	fastLocal *message.Message
+}
+
+// gossipVector is one stability gossip's delivery vector: per origin,
+// how many of its casts a member has delivered.
+type gossipVector struct {
+	origins []core.EndpointID
+	counts  []uint64
 }
 
 // fwdEntry is one pooled unstable message at the flush coordinator.
@@ -1207,11 +1219,12 @@ func (m *Mbrship) gossipTick() {
 	if m.view == nil || m.view.Size() < 2 || m.state != stNormal {
 		return
 	}
-	origins := append([]core.EndpointID(nil), m.view.Members...)
-	counts := make([]uint64, len(origins))
-	for i, o := range origins {
-		counts[i] = m.delivered[o]
+	origins := append(m.gossipOut.origins[:0], m.view.Members...)
+	counts := m.gossipOut.counts[:0]
+	for _, o := range origins {
+		counts = append(counts, m.delivered[o])
 	}
+	m.gossipOut.origins, m.gossipOut.counts = origins, counts
 	msg := message.New(nil)
 	wire.PushCounts(msg, counts)
 	wire.PushIDList(msg, origins)
@@ -1226,8 +1239,13 @@ func (m *Mbrship) gossipTick() {
 // receiveGossip merges a peer's delivery vector.
 func (m *Mbrship) receiveGossip(ev *core.Event) {
 	epoch, coord := popViewTag(ev.Msg)
-	origins := wire.PopIDList(ev.Msg)
-	counts := wire.PopCounts(ev.Msg)
+	var members []core.EndpointID
+	if m.view != nil {
+		members = m.view.Members
+	}
+	origins := wire.AppendIDListIn(m.gossipIn.origins[:0], ev.Msg, members)
+	counts := wire.AppendCounts(m.gossipIn.counts[:0], ev.Msg)
+	m.gossipIn.origins, m.gossipIn.counts = origins, counts
 	if !m.inCurrentView(epoch, coord) || len(origins) != len(counts) {
 		return
 	}

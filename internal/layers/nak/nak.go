@@ -140,6 +140,13 @@ type Nak struct {
 	statusCancel func()
 	stats        Stats
 	destroyed    bool
+
+	// The status table sendStatus multicasts, cached across periods:
+	// cast sources sorted by age, their receive streams, and the counts
+	// vector refilled from them each period (see refreshStatusTable).
+	statusSrcs   []core.EndpointID
+	statusIns    []*inStream
+	statusCounts []uint64
 }
 
 // Stats counts NAK activity.
@@ -521,17 +528,16 @@ func (n *Nak) statusTick() {
 // on a stream that then goes quiet has no later message to expose the
 // gap), and the delivered counts to trim retransmission buffers.
 func (n *Nak) sendStatus() {
-	srcs := make([]core.EndpointID, 0, len(n.castIn))
-	for src := range n.castIn {
-		srcs = append(srcs, src)
+	n.refreshStatusTable()
+	for i, in := range n.statusIns {
+		n.statusCounts[i] = in.delivered
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Older(srcs[j]) })
-	counts := make([]uint64, len(srcs))
-	for i, src := range srcs {
-		counts[i] = n.castIn[src].delivered
-	}
-	for _, dst := range n.others() {
-		m := message.New(nil)
+	self := n.Ctx.Self()
+	for _, dst := range n.members {
+		if dst == self {
+			continue
+		}
+		m := message.Get(nil)
 		var uniSent, uniDelivered uint64
 		if out := n.uniOut[dst]; out != nil {
 			uniSent = out.next
@@ -542,12 +548,48 @@ func (n *Nak) sendStatus() {
 		m.PushUint64(uniDelivered)
 		m.PushUint64(uniSent)
 		m.PushUint64(n.castOut.next)
-		wire.PushCounts(m, counts)
-		wire.PushIDList(m, srcs)
+		wire.PushCounts(m, n.statusCounts)
+		wire.PushIDList(m, n.statusSrcs)
 		m.PushUint8(kindStatus)
 		n.stats.StatusSent++
-		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{dst}})
+		// The event and its one-element destination set are a single
+		// allocation; the message is pooled and released by the
+		// transmit below us.
+		st := &statusSend{ev: core.Event{Type: core.DSend, Msg: m}}
+		st.dst[0] = dst
+		st.ev.Dests = st.dst[:]
+		n.Ctx.Down(&st.ev)
 	}
+}
+
+// statusSend is one status unicast's downcall: the event and the
+// backing array of its destination set in one object.
+type statusSend struct {
+	ev  core.Event
+	dst [1]core.EndpointID
+}
+
+// refreshStatusTable rebuilds the cached status table — the cast
+// sources sorted by age, their streams, and the counts vector — when a
+// new source has appeared. castIn only ever grows (streams are kept
+// across views, see applyView), so a length change is exactly "the key
+// set changed" and the table is rebuilt a handful of times per run
+// rather than every status period.
+func (n *Nak) refreshStatusTable() {
+	if len(n.statusSrcs) == len(n.castIn) {
+		return
+	}
+	n.statusSrcs = n.statusSrcs[:0]
+	for src := range n.castIn {
+		n.statusSrcs = append(n.statusSrcs, src)
+	}
+	srcs := n.statusSrcs
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Older(srcs[j]) })
+	n.statusIns = n.statusIns[:0]
+	for _, src := range srcs {
+		n.statusIns = append(n.statusIns, n.castIn[src])
+	}
+	n.statusCounts = make([]uint64, len(srcs))
 }
 
 // receiveStatus trims the multicast retransmission buffer up to the
@@ -557,18 +599,16 @@ func (n *Nak) sendStatus() {
 // negative-acknowledgement blind spot) can still ask for the missing
 // suffix.
 func (n *Nak) receiveStatus(ev *core.Event) {
-	srcs := wire.PopIDList(ev.Msg)
-	counts := wire.PopCounts(ev.Msg)
+	// Only our own entry of the peer's table matters here.
+	acked, listed, ok := wire.PopCountFor(ev.Msg, n.Ctx.Self())
 	peerCastSent := ev.Msg.PopUint64()
 	peerUniSent := ev.Msg.PopUint64()      // peer -> us unicast stream
 	peerUniDelivered := ev.Msg.PopUint64() // us -> peer unicast stream
-	if len(counts) != len(srcs) {
+	if !ok {
 		return
 	}
-	for i, src := range srcs {
-		if src == n.Ctx.Self() {
-			n.ackedBy(ev.Source, counts[i])
-		}
+	if listed {
+		n.ackedBy(ev.Source, acked)
 	}
 	n.nakTail(ev.Source, n.castInFor(ev.Source), streamCast, peerCastSent)
 	n.nakTail(ev.Source, n.uniInFor(ev.Source), streamUni, peerUniSent)
@@ -720,17 +760,6 @@ func (n *Nak) applyView(ev *core.Event) {
 		n.lastHeard[m] = now
 	}
 	n.trimCastBuffer()
-}
-
-// others returns the view members except self.
-func (n *Nak) others() []core.EndpointID {
-	out := make([]core.EndpointID, 0, len(n.members))
-	for _, m := range n.members {
-		if m != n.Ctx.Self() {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 func (n *Nak) shutdown() {

@@ -209,13 +209,26 @@ func (m *Message) Clone() *Message {
 // Marshal renders the message to its wire format: a 32-bit header
 // length, the header bytes, then the body.
 func (m *Message) Marshal() []byte {
+	return m.MarshalTo(nil)
+}
+
+// MarshalTo appends the message's wire image (see Marshal) to dst and
+// returns the extended slice. Passing a reused buffer's dst[:0] renders
+// without allocating once the buffer is large enough.
+func (m *Message) MarshalTo(dst []byte) []byte {
 	m.live()
 	hdr := m.buf[m.off:]
-	out := make([]byte, 4+len(hdr)+len(m.body))
+	n := 4 + len(hdr) + len(m.body)
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	out := dst[len(dst) : len(dst)+n]
 	binary.BigEndian.PutUint32(out, uint32(len(hdr)))
 	copy(out[4:], hdr)
 	copy(out[4+len(hdr):], m.body)
-	return out
+	return dst[:len(dst)+n]
 }
 
 // FromParts builds a message from explicit header and body bytes, both
@@ -236,12 +249,25 @@ func FromParts(hdr, body []byte) *Message {
 // Unmarshal parses a wire-format buffer produced by Marshal into a new
 // message with fresh headroom.
 func Unmarshal(wire []byte) (*Message, error) {
+	m := new(Message)
+	if err := UnmarshalInto(m, wire); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalInto is Unmarshal into caller-provided storage: m is
+// overwritten with a message parsed from wire, leaving m untouched on
+// error. The endpoint's receive path embeds the Message in its inbound
+// entry, so one packet costs the entry and the slab below and nothing
+// else. wire is copied, never retained.
+func UnmarshalInto(m *Message, wire []byte) error {
 	if len(wire) < 4 {
-		return nil, fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
+		return fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
 	}
 	hlen := int(binary.BigEndian.Uint32(wire))
 	if hlen < 0 || 4+hlen > len(wire) {
-		return nil, fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
+		return fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
 	}
 	hdr := wire[4 : 4+hlen]
 	// One slab serves header and body: buf is the front slice, body the
@@ -254,7 +280,8 @@ func Unmarshal(wire []byte) (*Message, error) {
 	copy(slab[defaultHeadroom:], hdr)
 	body := slab[defaultHeadroom+hlen:]
 	copy(body, wire[4+hlen:])
-	return &Message{buf: slab[:defaultHeadroom+hlen], off: defaultHeadroom, body: body}, nil
+	*m = Message{buf: slab[:defaultHeadroom+hlen], off: defaultHeadroom, body: body}
+	return nil
 }
 
 // Equal reports whether two messages have identical header bytes and

@@ -5,11 +5,13 @@
 // to it once the send path is done with them. This file implements the
 // pool with an explicit ownership hand-off: a message obtained from Get
 // is owned by the caller until it is passed to a cast downcall, after
-// which the fast path (core's compiled cast plan) releases it back to
-// the pool once the wire image has left the stack. Compiled layers
-// never retain the original message — retransmission and delivery
-// logs keep independent copies (FromParts) — which is what makes the
-// automatic release sound.
+// which the stack releases it back to the pool once the wire image has
+// left: the fast path (core's compiled cast plan) after its transmit,
+// the reference path in Context.Transmit after the bottom layer
+// rendered it. No layer retains the original message past that
+// transmit — retransmission and delivery logs keep independent copies
+// (Clone, FromParts) — which is what makes the automatic release
+// sound.
 //
 // Misuse is a programming error and panics loudly: releasing a message
 // twice, or pushing/popping/marshalling after release, would silently
@@ -34,10 +36,12 @@ var pool = sync.Pool{
 
 // Get returns a pooled message whose payload references body without
 // copying, like New. The caller owns the message until it hands it to
-// a cast downcall; from then on the stack owns it and will Release it
-// automatically when the compiled fast path consumed it. On the
-// reference (per-layer) path the message is left to the garbage
-// collector instead — Release is an optimization, never an obligation.
+// a downcall; from then on the stack owns it and Releases it
+// automatically once its wire image is transmitted, on the compiled
+// fast path and the reference path alike. A message that never reaches
+// a transmit (a layer re-framed it into fresh messages, or it fell off
+// a stack without COM) is left to the garbage collector — Release is an
+// optimization, never an obligation.
 func Get(body []byte) *Message {
 	m := pool.Get().(*Message)
 	m.off = len(m.buf)

@@ -78,31 +78,3 @@ func TestBroadcastSkipsDepartedMember(t *testing.T) {
 		t.Fatalf("c got %d packets, want 1", len(lc.got))
 	}
 }
-
-// BenchmarkLoadTick is the pinned cluster-scale fabric number: one
-// broadcast in every group of a 100-group x 10-member fabric (1000
-// packets end to end), including delivery. This is the inner loop of
-// the loadgen soak; the broadcast-scoping fix and the packet fast
-// paths are gated on it.
-func BenchmarkLoadTick(b *testing.B) {
-	const groups, members = 100, 10
-	net := netsim.New(netsim.Config{Seed: 3, DefaultLink: netsim.Link{Delay: 100 * time.Microsecond}})
-	eps := make([]*core.Endpoint, 0, groups*members)
-	addrs := make([]core.GroupAddr, groups)
-	for g := 0; g < groups; g++ {
-		addrs[g] = core.GroupAddr(fmt.Sprintf("grp%d", g))
-		for m := 0; m < members; m++ {
-			ep, _ := attachG(b, net, fmt.Sprintf("g%d-m%d", g, m), addrs[g])
-			eps = append(eps, ep)
-		}
-	}
-	body := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for g := 0; g < groups; g++ {
-			castG(eps[g*members], addrs[g], body)
-		}
-		net.RunFor(time.Millisecond)
-	}
-}

@@ -71,6 +71,7 @@ type Transport struct {
 	stats     Stats
 	onSendErr func(dest core.EndpointID, err error)
 	feedback  func() core.EgressFeedback
+	pkt       []byte // Send's framing buffer, reused under mu
 }
 
 // Listen opens a UDP socket for an endpoint with the given identity.
@@ -163,23 +164,18 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-func (t *Transport) sendError(dest core.EndpointID, err error) {
-	t.mu.Lock()
-	t.stats.SendErrors++
-	fn := t.onSendErr
-	t.mu.Unlock()
-	if fn != nil {
-		fn(dest, err)
-	}
-}
-
 // readLoop dispatches inbound datagrams to the endpoint. The buffer
 // is one byte larger than the biggest legal datagram so truncation by
 // the kernel is detectable instead of silently corrupting the tail.
+// The payload handed to Deliver aliases the read buffer — Deliver
+// copies it into the packet's own storage and never retains wire — and
+// the group address is reused while consecutive datagrams name the
+// same group, so a steady stream costs no garbage here.
 func (t *Transport) readLoop(ep *core.Endpoint) {
 	buf := make([]byte, maxDatagram+1)
+	var group core.GroupAddr
 	for {
-		n, _, err := t.conn.ReadFromUDP(buf)
+		n, _, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
@@ -189,72 +185,88 @@ func (t *Transport) readLoop(ep *core.Endpoint) {
 			t.mu.Unlock()
 			continue
 		}
-		group, payload, ok := decode(buf[:n])
+		g, payload, ok := decode(buf[:n], group)
 		if !ok {
 			t.mu.Lock()
 			t.stats.Malformed++
 			t.mu.Unlock()
 			continue
 		}
+		group = g
 		ep.Deliver(group, payload)
 	}
+}
+
+// sendFailure is one destination's socket error, reported to the hook
+// after the transport's lock is released.
+type sendFailure struct {
+	dest core.EndpointID
+	err  error
 }
 
 // Send implements core.Transport: one datagram per destination. Empty
 // dests broadcasts to every known peer. Errors cannot be returned
 // through this interface; they are counted in Stats and reported via
-// SetSendErrorHook.
+// SetSendErrorHook. The datagram is framed into a buffer reused across
+// sends; the transport's mutex guards it for the whole fan-out.
 func (t *Transport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	if len(group) > maxGroupAddr {
-		t.mu.Lock()
-		t.stats.Oversized++
-		fn := t.onSendErr
-		t.mu.Unlock()
-		if fn != nil {
-			fn(core.EndpointID{}, ErrBadGroup)
-		}
+		t.reportOversized(ErrBadGroup)
 		return
 	}
-	pkt := encode(group, wire)
-	if len(pkt) > maxDatagram {
+	if 2+len(group)+len(wire) > maxDatagram {
 		// Oversized: dropped like any best-effort network would; FRAG
 		// exists for this.
-		t.mu.Lock()
-		t.stats.Oversized++
-		fn := t.onSendErr
-		t.mu.Unlock()
-		if fn != nil {
-			fn(core.EndpointID{}, ErrOversized)
-		}
+		t.reportOversized(ErrOversized)
 		return
 	}
-	type target struct {
-		id   core.EndpointID
-		addr *net.UDPAddr
-	}
 	t.mu.Lock()
-	var targets []target
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	t.pkt = encode(t.pkt[:0], group, wire)
+	var failed []sendFailure // allocated only when a write fails
 	if len(dests) == 0 {
 		for id, a := range t.peers {
-			targets = append(targets, target{id, a})
+			failed = t.writeLocked(id, a, failed)
 		}
 	} else {
 		for _, d := range dests {
 			if a, ok := t.peers[d]; ok {
-				targets = append(targets, target{d, a})
+				failed = t.writeLocked(d, a, failed)
 			}
 		}
 	}
-	closed := t.closed
+	fn := t.onSendErr
 	t.mu.Unlock()
-	if closed {
-		return
-	}
-	for _, tgt := range targets {
-		// Best effort: an error is loss, but a counted, reportable one.
-		if _, err := t.conn.WriteToUDP(pkt, tgt.addr); err != nil {
-			t.sendError(tgt.id, err)
+	if fn != nil {
+		for _, f := range failed {
+			fn(f.dest, f.err)
 		}
+	}
+}
+
+// writeLocked sends the framed packet to one peer. Best effort: an
+// error is loss, but a counted, reportable one, appended to failed.
+// Caller holds t.mu.
+func (t *Transport) writeLocked(id core.EndpointID, addr *net.UDPAddr, failed []sendFailure) []sendFailure {
+	if _, err := t.conn.WriteToUDP(t.pkt, addr); err != nil {
+		t.stats.SendErrors++
+		failed = append(failed, sendFailure{id, err})
+	}
+	return failed
+}
+
+// reportOversized counts a send dropped before addressing and reports
+// it to the hook with a zero destination.
+func (t *Transport) reportOversized(err error) {
+	t.mu.Lock()
+	t.stats.Oversized++
+	fn := t.onSendErr
+	t.mu.Unlock()
+	if fn != nil {
+		fn(core.EndpointID{}, err)
 	}
 }
 
@@ -275,20 +287,21 @@ func (t *Transport) Close() error {
 	return t.conn.Close()
 }
 
-// encode frames a packet: group-length, group, payload.
-func encode(group core.GroupAddr, wire []byte) []byte {
-	g := []byte(group)
-	out := make([]byte, 2+len(g)+len(wire))
-	binary.BigEndian.PutUint16(out, uint16(len(g)))
-	copy(out[2:], g)
-	copy(out[2+len(g):], wire)
-	return out
+// encode appends a framed packet — group-length, group, payload — to
+// dst and returns the extended slice.
+func encode(dst []byte, group core.GroupAddr, wire []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(group)))
+	dst = append(dst, group...)
+	return append(dst, wire...)
 }
 
 // decode parses a framed packet, rejecting truncated headers (length
 // prefix promising more bytes than the datagram holds) and oversized
-// ones (group-address field beyond maxGroupAddr).
-func decode(pkt []byte) (core.GroupAddr, []byte, bool) {
+// ones (group-address field beyond maxGroupAddr). The payload is a
+// sub-slice of pkt, not a copy. When the group field spells last, last
+// itself is returned, so a reader that passes the previous datagram's
+// group allocates no string for a repeat.
+func decode(pkt []byte, last core.GroupAddr) (core.GroupAddr, []byte, bool) {
 	if len(pkt) < 2 {
 		return "", nil, false
 	}
@@ -296,8 +309,9 @@ func decode(pkt []byte) (core.GroupAddr, []byte, bool) {
 	if gl > maxGroupAddr || 2+gl > len(pkt) {
 		return "", nil, false
 	}
-	group := core.GroupAddr(pkt[2 : 2+gl])
-	payload := make([]byte, len(pkt)-2-gl)
-	copy(payload, pkt[2+gl:])
-	return group, payload, true
+	group := last
+	if g := pkt[2 : 2+gl]; string(g) != string(last) {
+		group = core.GroupAddr(g)
+	}
+	return group, pkt[2+gl:], true
 }

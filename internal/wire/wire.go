@@ -16,10 +16,29 @@ func PushEndpointID(m *message.Message, id core.EndpointID) {
 }
 
 // PopEndpointID pops an identifier pushed by PushEndpointID.
-func PopEndpointID(m *message.Message) core.EndpointID {
-	birth := m.PopUint64()
-	site := m.PopString()
-	return core.EndpointID{Site: site, Birth: birth}
+func PopEndpointID(m *message.Message) core.EndpointID { return PopEndpointIDIn(m, nil) }
+
+// PopEndpointIDIn pops an identifier like PopEndpointID, but returns
+// the matching element of known when there is one, sharing its Site
+// string instead of allocating a copy. Only an identifier outside known
+// costs an allocation. Receive paths pass the current view, which holds
+// nearly every sender they hear from. It panics exactly when
+// PopEndpointID would.
+func PopEndpointIDIn(m *message.Message, known []core.EndpointID) core.EndpointID {
+	birth, site := popIDParts(m)
+	for _, k := range known {
+		if k.Birth == birth && k.Site == string(site) {
+			return k
+		}
+	}
+	return core.EndpointID{Site: string(site), Birth: birth}
+}
+
+// popIDParts pops an identifier pushed by PushEndpointID without
+// materializing it: site aliases m's header buffer.
+func popIDParts(m *message.Message) (birth uint64, site []byte) {
+	birth = m.PopUint64()
+	return birth, m.Pop(int(m.PopUint32()))
 }
 
 // PushIDList pushes a list of endpoint identifiers.
@@ -38,6 +57,19 @@ func PopIDList(m *message.Message) []core.EndpointID {
 		ids[i] = PopEndpointID(m)
 	}
 	return ids
+}
+
+// AppendIDListIn pops a list pushed by PushIDList, appending its
+// identifiers to dst through PopEndpointIDIn against known. A caller
+// that passes its previous result's dst[:0] decodes a steady stream of
+// lists from known members without allocating; the list's length
+// prefix never sizes an allocation.
+func AppendIDListIn(dst []core.EndpointID, m *message.Message, known []core.EndpointID) []core.EndpointID {
+	n := int(m.PopUint32())
+	for i := 0; i < n; i++ {
+		dst = append(dst, PopEndpointIDIn(m, known))
+	}
+	return dst
 }
 
 // PushViewID pushes a view identifier.
@@ -84,4 +116,45 @@ func PopCounts(m *message.Message) []uint64 {
 		counts[i] = m.PopUint64()
 	}
 	return counts
+}
+
+// PopCountFor pops an identifier list pushed by PushIDList followed by
+// a counter vector pushed by PushCounts — a per-member table — and
+// returns the count paired with id, materializing neither list. found
+// is false when id is not listed (the first listing wins when id
+// appears twice); ok is false when the two lengths differ, in which
+// case the table is malformed and count and found are meaningless. The
+// result is exactly PopIDList, PopCounts and a linear search, and it
+// panics exactly when they would; unlike them it never sizes an
+// allocation from an untrusted length prefix.
+func PopCountFor(m *message.Message, id core.EndpointID) (count uint64, found, ok bool) {
+	n := int(m.PopUint32())
+	at := -1
+	for i := 0; i < n; i++ {
+		birth, site := popIDParts(m)
+		if at < 0 && birth == id.Birth && string(site) == id.Site {
+			at = i
+		}
+	}
+	k := int(m.PopUint32())
+	for i := 0; i < k; i++ {
+		c := m.PopUint64()
+		if i == at {
+			count = c
+		}
+	}
+	if k != n {
+		return 0, false, false
+	}
+	return count, at >= 0, true
+}
+
+// AppendCounts pops a vector pushed by PushCounts, appending its
+// counters to dst; the reuse discipline of AppendIDListIn applies.
+func AppendCounts(dst []uint64, m *message.Message) []uint64 {
+	n := int(m.PopUint32())
+	for i := 0; i < n; i++ {
+		dst = append(dst, m.PopUint64())
+	}
+	return dst
 }
