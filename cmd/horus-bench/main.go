@@ -26,11 +26,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -598,33 +596,10 @@ func benchHeal() {
 	fmt.Println("(dominated by the beacon period plus two merge flushes)")
 }
 
-// benchRecord is one benchmark's measurements in the JSON snapshot.
-type benchRecord struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	MBPerS      float64            `json:"mb_per_s,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// benchSnapshot is the whole -json document. Environment fields are
-// recorded because ns/op is only comparable within a hardware class;
-// the committed history is a trajectory, not a gate by itself.
-type benchSnapshot struct {
-	Suite      string        `json:"suite"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	NumCPU     int           `json:"num_cpu"`
-	Benchmarks []benchRecord `json:"benchmarks"`
-}
-
 // runSuite runs the shared CPU benchmark bodies (internal/benchkit —
 // the same code `go test -bench` runs) under testing.Benchmark and
 // returns the snapshot.
-func runSuite() (benchSnapshot, error) {
+func runSuite() (benchkit.Snapshot, error) {
 	type namedBench struct {
 		name string
 		fn   func(*testing.B)
@@ -658,20 +633,14 @@ func runSuite() (benchSnapshot, error) {
 	}
 	suite = append(suite, namedBench{"LoadTick", benchkit.LoadTick})
 
-	snap := benchSnapshot{
-		Suite:     "horus-bench",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
+	snap := benchkit.NewSnapshot("horus-bench")
 	for _, nb := range suite {
 		fmt.Fprintf(os.Stderr, "bench %s\n", nb.name)
 		r := testing.Benchmark(nb.fn)
 		if r.N == 0 {
 			return snap, fmt.Errorf("benchmark %s failed (zero iterations)", nb.name)
 		}
-		rec := benchRecord{
+		rec := benchkit.Record{
 			Name:        nb.name,
 			Iterations:  r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -698,11 +667,10 @@ func emitJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	out, err := json.MarshalIndent(snap, "", "  ")
+	out, err := snap.Encode()
 	if err != nil {
 		return err
 	}
-	out = append(out, '\n')
 	if path == "-" {
 		_, err = os.Stdout.Write(out)
 		return err
@@ -729,15 +697,15 @@ func checkAgainst(path string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	var base benchSnapshot
-	if err := json.Unmarshal(raw, &base); err != nil {
+	base, err := benchkit.DecodeSnapshot(raw)
+	if err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
 	snap, err := runSuite()
 	if err != nil {
 		return err
 	}
-	current := map[string]benchRecord{}
+	current := map[string]benchkit.Record{}
 	for _, r := range snap.Benchmarks {
 		current[r.Name] = r
 	}

@@ -248,8 +248,8 @@ func netStats(f *chaosnet.Fabric) string {
 	}
 	p := f.Stats()
 	t := f.TransportStats()
-	return fmt.Sprintf("  [udp fwd=%d drop=%d block=%d dup=%d garble=%d reorder=%d throttle=%d congest=%d collapse=%d | sendErr=%d malformed=%d oversized=%d truncated=%d]",
-		p.Forwarded, p.Dropped, p.Blocked, p.Duplicated, p.Garbled, p.Reordered, p.Throttled,
+	return fmt.Sprintf("  [udp fwd=%d lost=%d block=%d dup=%d garble=%d reorder=%d throttle=%d congest=%d collapse=%d | sendErr=%d malformed=%d oversized=%d truncated=%d]",
+		p.Forwarded, p.Lost, p.Blocked, p.Duplicated, p.Garbled, p.Reordered, p.Throttled,
 		p.Congested, p.CollapseDropped,
 		t.SendErrors, t.Malformed, t.Oversized, t.Truncated)
 }

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"horus/internal/benchkit"
 	"horus/internal/chaos"
 	"horus/internal/chaosnet"
 	"horus/internal/loadgen"
@@ -132,11 +133,11 @@ func main() {
 		if err != nil {
 			fatalf("read %s: %v", *checkPath, err)
 		}
-		old, err := loadgen.DecodeSnapshot(raw)
+		old, err := benchkit.DecodeSnapshot(raw)
 		if err != nil {
 			fatalf("parse %s: %v", *checkPath, err)
 		}
-		if err := snap.CheckAgainst(old, *checkTol); err != nil {
+		if err := loadgen.CheckAgainst(snap, old, *checkTol); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

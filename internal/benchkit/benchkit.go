@@ -5,7 +5,8 @@
 // (b.Run sub-benchmarks versus testing.Benchmark for machine-readable
 // output). Importing testing outside a _test.go file is deliberate —
 // testing.Benchmark is the supported way to run a benchmark from a
-// binary.
+// binary. The package also owns Snapshot, the one JSON schema that
+// horus-bench and horus-load write and gate against.
 package benchkit
 
 import (

@@ -12,7 +12,9 @@ import (
 // vocabulary of the schedule language. The simulated fabric wraps
 // netsim.Network (virtual time, fully deterministic);
 // internal/chaosnet provides a wall-clock implementation over real UDP
-// sockets through an in-process lossy proxy. The cluster driver and
+// sockets through an in-process lossy proxy. Both enforce the fault
+// vocabulary with the same netsim.Rules engine, so a rule means the
+// same thing on either; only the clock differs. The cluster driver and
 // the invariant checkers only ever talk to this interface, so every
 // typed schedule runs unchanged on either substrate.
 type Fabric interface {
@@ -31,9 +33,9 @@ type Fabric interface {
 	// loop, the UDP fabric sleeps while the sockets run themselves.
 	RunFor(d time.Duration)
 
-	// Fault vocabulary — semantics mirror netsim.Network: directed
-	// link overrides with a default fallback, per-host egress budgets
-	// shared across all of a member's outgoing links, fail-stop
+	// Fault vocabulary, enforced by netsim.Rules on every fabric:
+	// directed link overrides with a default fallback, per-host egress
+	// budgets shared across all of a member's outgoing links, fail-stop
 	// crashes, detach of dead incarnations, global component
 	// partitions.
 	SetLink(a, b core.EndpointID, l netsim.Link)

@@ -9,19 +9,18 @@
 // wall-clock speed.
 //
 // Topology: each member i owns a real udpnet transport bound to A_i
-// and a proxy socket P_i. Peers are wired to P_i, never to A_i, so
-// every frame addressed to i arrives at the proxy first:
+// and a proxy socket P_i. Peers — the member itself included, for its
+// loopback copies — are wired to P_i, never to A_i, so every frame
+// addressed to i arrives at the proxy first:
 //
-//	member j ──A_j──▶ P_i ──(drop/delay/dup/garble?)──▶ A_i ──▶ member i
+//	member j ──A_j──▶ P_i ──(netsim.Rules)──▶ A_i ──▶ member i
 //
 // The proxy identifies the sender by source address (udpnet sends
-// from its listen socket), looks up the directed (src, dst) link
-// rule — the full netsim.Link vocabulary the simulator uses, including
-// Bandwidth serialization and the explicit reorder rule — and
-// forwards, delays, throttles, holds back, duplicates, garbles, or
-// drops the frame. Crashes, detaches, and partitions are enforced the
-// same way: a frame to or from a crashed member, or across partition
-// components, is swallowed.
+// from its listen socket) and hands the frame to netsim.Rules, the
+// same rule machine the simulator runs, against the wall clock. The
+// fault semantics are therefore netsim's by construction; this package
+// owns only the sockets, the proxy loop and wall-clock dispatch of
+// delayed and held frames.
 //
 // The package implements the chaos.Fabric interface structurally (it
 // does not import chaos), so `chaos.Config{Fabric: chaosnet.New(...)}`
@@ -33,7 +32,6 @@ package chaosnet
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -44,24 +42,13 @@ import (
 )
 
 // Stats counts proxy-level activity across all members — the fault
-// ledger attached to every UDP seed line. Reordered and Throttled
-// mirror the netsim counters of the same names, so the two fabrics
-// report rule firings in the same vocabulary.
+// ledger attached to every UDP seed line. The embedded Ledger is the
+// rule machine's, so the two fabrics report rule firings under the
+// same names.
 type Stats struct {
-	Forwarded  int // frames relayed to a member's real socket
-	Dropped    int // frames dropped by a link's loss rate
-	Blocked    int // frames dropped by crash, detach, or partition
-	Duplicated int // extra copies delivered by duplication
-	Garbled    int // frames corrupted in flight
-	Reordered  int // frames held back by the reorder rule
-	Throttled  int // frames that queued behind earlier traffic (bandwidth)
-	// Congested counts frames that queued behind earlier traffic in
-	// their host's shared egress bucket (Host.EgressBudget).
-	Congested int
-	// CollapseDropped counts frames dropped by a host's bounded egress
-	// queue overflowing — offered load past the budget became loss.
-	CollapseDropped int
-	Unknown         int // frames from an unrecognized source address
+	Forwarded int // frames relayed to a member's real socket
+	Unknown   int // frames from an unrecognized source address
+	netsim.Ledger
 }
 
 // Config parameterizes a UDP fabric.
@@ -77,8 +64,6 @@ type Config struct {
 	// empty means "127.0.0.1:0" (ephemeral loopback).
 	Addr string
 }
-
-type pair struct{ a, b core.EndpointID }
 
 // node is one member's attachment: its real transport and the proxy
 // socket every peer sends to instead.
@@ -96,40 +81,17 @@ type node struct {
 type Fabric struct {
 	addr string
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	start      time.Time
-	def        netsim.Link
-	links      map[pair]netsim.Link
-	crashed    map[core.EndpointID]bool
-	part       map[core.EndpointID]int
-	nodes      map[core.EndpointID]*node
-	bySrc      map[string]core.EndpointID // member real addr -> member
-	linkFree   map[pair]time.Duration     // directed link busy-until (bandwidth model)
-	held       map[pair][]*heldFrame      // directed link reorder holds
-	hosts      map[core.EndpointID]netsim.Host
-	egressFree map[core.EndpointID]time.Duration // per-host egress busy-until
-	// Per-host slices of the egress ledger, served to each member's
-	// transport through the core.CongestionReporter hook — the same
-	// split netsim keeps, so ADAPT sees one vocabulary on both fabrics.
-	egressCongested map[core.EndpointID]uint64
-	egressDropped   map[core.EndpointID]uint64
-	nextBirth       uint64
-	stats           Stats
-	retired         udpnet.Stats // transport counters of detached incarnations
-	timers          []*time.Timer
-	closed          bool
+	mu        sync.Mutex
+	start     time.Time
+	rules     *netsim.Rules
+	nodes     map[core.EndpointID]*node
+	bySrc     map[string]core.EndpointID // member real addr -> member
+	nextBirth uint64
+	stats     Stats        // Forwarded, Unknown; the Ledger lives in rules
+	retired   udpnet.Stats // transport counters of detached incarnations
+	closed    bool
 
 	wg sync.WaitGroup
-}
-
-// heldFrame is one frame parked by the reorder rule, waiting for
-// `remaining` later departures on its directed link (or the hold
-// backstop timer) before it is dispatched.
-type heldFrame struct {
-	remaining  int
-	released   bool
-	fireLocked func() // dispatch with a fresh delay draw; caller holds f.mu
 }
 
 // New builds an empty UDP fabric; endpoints attach via NewEndpoint.
@@ -138,22 +100,12 @@ func New(cfg Config) *Fabric {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	return &Fabric{
-		addr:            cfg.Addr,
-		rng:             rand.New(rand.NewSource(cfg.Seed)),
-		start:           time.Now(),
-		def:             cfg.DefaultLink,
-		links:           make(map[pair]netsim.Link),
-		crashed:         make(map[core.EndpointID]bool),
-		part:            make(map[core.EndpointID]int),
-		nodes:           make(map[core.EndpointID]*node),
-		bySrc:           make(map[string]core.EndpointID),
-		linkFree:        make(map[pair]time.Duration),
-		held:            make(map[pair][]*heldFrame),
-		hosts:           make(map[core.EndpointID]netsim.Host),
-		egressFree:      make(map[core.EndpointID]time.Duration),
-		egressCongested: make(map[core.EndpointID]uint64),
-		egressDropped:   make(map[core.EndpointID]uint64),
-		nextBirth:       1,
+		addr:      cfg.Addr,
+		start:     time.Now(),
+		rules:     netsim.NewRules(cfg.Seed, cfg.DefaultLink),
+		nodes:     make(map[core.EndpointID]*node),
+		bySrc:     make(map[string]core.EndpointID),
+		nextBirth: 1,
 	}
 }
 
@@ -211,11 +163,7 @@ func (f *Fabric) NewEndpoint(site string) *core.Endpoint {
 func (f *Fabric) EgressFeedback(id core.EndpointID) core.EgressFeedback {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return core.EgressFeedback{
-		BacklogBytes:    netsim.BucketBacklog(time.Since(f.start), f.egressFree[id], f.hosts[id].EgressBudget),
-		Congested:       f.egressCongested[id],
-		CollapseDropped: f.egressDropped[id],
-	}
+	return f.rules.EgressFeedback(id, f.Now())
 }
 
 // proxyLoop relays frames arriving at a member's proxy socket to the
@@ -235,9 +183,9 @@ func (f *Fabric) proxyLoop(n *node) {
 	}
 }
 
-// route applies the fault rules to one frame and forwards the
-// survivors. Fault draws happen under the fabric lock; the actual
-// socket writes happen outside it (possibly on a timer goroutine).
+// route runs one frame through the link rules and forwards the
+// copies that survive. Rule decisions happen under the fabric lock;
+// the socket writes happen outside it (possibly on a timer goroutine).
 func (f *Fabric) route(n *node, src string, pkt []byte) {
 	f.mu.Lock()
 	if f.closed {
@@ -250,54 +198,67 @@ func (f *Fabric) route(n *node, src string, pkt []byte) {
 		f.mu.Unlock()
 		return
 	}
-	if f.crashed[from] || f.crashed[n.id] {
-		f.stats.Blocked++
-		f.mu.Unlock()
-		return
+	type departure struct {
+		delay time.Duration
+		buf   []byte
 	}
-	if f.part[from] != f.part[n.id] {
-		f.stats.Blocked++
-		f.mu.Unlock()
-		return
-	}
-	l := f.linkFor(from, n.id)
-	if l.LossRate > 0 && f.rng.Float64() < l.LossRate {
-		f.stats.Dropped++
-		f.mu.Unlock()
-		return
-	}
-	if l.GarbleRate > 0 && len(pkt) > 0 && f.rng.Float64() < l.GarbleRate {
-		pkt[f.rng.Intn(len(pkt))] ^= byte(1 + f.rng.Intn(255))
-		f.stats.Garbled++
-	}
-	copies := 1
-	if l.DupRate > 0 && f.rng.Float64() < l.DupRate {
-		copies = 2
-		f.stats.Duplicated++
-	}
-	dir := pair{from, n.id}
-	var delays []time.Duration
-	for i := 0; i < copies; i++ {
-		if l.ReorderRate > 0 && f.rng.Float64() < l.ReorderRate {
-			f.holdLocked(dir, n, pkt, l)
+	var out [2]departure
+	sent := 0
+	adm := f.rules.Admit(from, n.id, f.nodes[n.id] == n)
+	for i := 0; i < adm.Copies; i++ {
+		c := f.rules.DrawCopy(adm.Link, pkt)
+		if c.Lost {
 			continue
 		}
-		if d, ok := f.xmitDelayLocked(dir, l, len(pkt)); ok {
-			delays = append(delays, d)
+		if c.Hold {
+			f.rules.Hold(from, n.id, adm.Link, f.releaser(from, n, c.Buf), f.backstop)
+			continue
 		}
-		// A collapse-dropped frame still counts as a departure for the
-		// reorder rule, matching netsim: the sender attempted it.
-		f.departLocked(dir)
+		if d, ok := f.rules.Transmit(from, n.id, true, f.Now(), len(c.Buf)); ok {
+			out[sent] = departure{d, c.Buf}
+			sent++
+		}
+		f.rules.Depart(from, n.id)
 	}
 	f.mu.Unlock()
 
-	for _, d := range delays {
-		if d <= 0 {
-			f.deliver(n, pkt)
-		} else {
+	for _, o := range out[:sent] {
+		f.deliverAfter(o.delay, n, o.buf)
+	}
+}
+
+// releaser returns the release of a held frame: it times the frame
+// under the rules in force at that moment and forwards it on a timer,
+// since the caller holds f.mu.
+func (f *Fabric) releaser(from core.EndpointID, n *node, pkt []byte) func() {
+	return func() {
+		if d, ok := f.rules.Transmit(from, n.id, f.nodes[n.id] == n, f.Now(), len(pkt)); ok {
 			time.AfterFunc(d, func() { f.deliver(n, pkt) })
 		}
 	}
+}
+
+// backstop arms a reorder hold's backstop as a wall-clock timer;
+// fireLocked runs under f.mu, and not at all once the fabric is
+// closed.
+func (f *Fabric) backstop(d time.Duration, fireLocked func()) {
+	time.AfterFunc(d, func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if !f.closed {
+			fireLocked()
+		}
+	})
+}
+
+// deliverAfter forwards one frame after d of wall time, at once when d
+// is not positive. Callers must not hold f.mu.
+func (f *Fabric) deliverAfter(d time.Duration, n *node, pkt []byte) {
+	if d <= 0 {
+		f.deliver(n, pkt)
+		return
+	}
+	time.AfterFunc(d, func() { f.deliver(n, pkt) })
 }
 
 // deliver writes one frame to the member's real socket and counts it.
@@ -310,146 +271,23 @@ func (f *Fabric) deliver(n *node, pkt []byte) {
 	f.mu.Unlock()
 }
 
-// xmitDelayLocked computes one frame's time on the directed link:
-// host egress budget, propagation delay, jitter, and — when
-// Link.Bandwidth caps the pair — the wait for the link to drain plus
-// the frame's own serialization time, exactly netsim's model in
-// wall-clock time. Both rate rules are busy-until token buckets on the
-// shared netsim math: the frame acquires tokens from its host's
-// egress bucket first (store-and-forward — it clears the NIC only once
-// fully serialized) and its link's bandwidth bucket second. ok is
-// false when the host's bounded egress queue overflowed and the frame
-// must be dropped (CollapseDropped). Callers hold f.mu.
-func (f *Fabric) xmitDelayLocked(dir pair, l netsim.Link, size int) (delay time.Duration, ok bool) {
-	now := time.Since(f.start)
-	newFree, clear, out := netsim.EgressAcquire(f.hosts[dir.a], dir.a, dir.b, now, f.egressFree[dir.a], size)
-	switch out {
-	case netsim.EgressDropped:
-		f.stats.CollapseDropped++
-		f.egressDropped[dir.a]++
-		return 0, false
-	case netsim.EgressQueued:
-		f.stats.Congested++
-		f.egressCongested[dir.a]++
-		f.egressFree[dir.a] = newFree
-	case netsim.EgressGranted:
-		f.egressFree[dir.a] = newFree
-	}
-	d := l.Delay
-	if l.Jitter > 0 {
-		d += time.Duration(f.rng.Int63n(int64(l.Jitter)))
-	}
-	if l.Bandwidth > 0 {
-		linkFree, queued := netsim.BucketAcquire(clear, f.linkFree[dir], size, l.Bandwidth)
-		if queued {
-			f.stats.Throttled++
-		}
-		f.linkFree[dir] = linkFree
-		d += linkFree - now
-	} else {
-		d += clear - now
-	}
-	return d, true
-}
-
-// holdLocked parks one frame under the reorder rule: it is dispatched
-// after ReorderDepth later departures on the same directed link, or
-// when the hold backstop expires on a link gone quiet — the same
-// hold-and-release semantics as netsim. Callers hold f.mu.
-func (f *Fabric) holdLocked(dir pair, n *node, pkt []byte, l netsim.Link) {
-	depth := l.ReorderDepth
-	if depth <= 0 {
-		depth = netsim.DefaultReorderDepth
-	}
-	hold := l.ReorderHold
-	if hold <= 0 {
-		hold = netsim.DefaultReorderHold
-	}
-	f.stats.Reordered++
-	h := &heldFrame{remaining: depth}
-	h.fireLocked = func() {
-		// The rule table may have changed while the frame was held;
-		// draw its delay from the link (and host budget) in force at
-		// release time, as netsim does.
-		d, ok := f.xmitDelayLocked(dir, f.linkFor(dir.a, dir.b), len(pkt))
-		if !ok {
-			return // the host's egress queue collapsed under the hold
-		}
-		if d < 0 {
-			d = 0
-		}
-		time.AfterFunc(d, func() { f.deliver(n, pkt) })
-	}
-	f.held[dir] = append(f.held[dir], h)
-	f.timers = append(f.timers, time.AfterFunc(hold, func() {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.closed || h.released {
-			return
-		}
-		h.released = true
-		hs := f.held[dir]
-		for i, x := range hs {
-			if x == h {
-				f.held[dir] = append(hs[:i], hs[i+1:]...)
-				break
-			}
-		}
-		h.fireLocked()
-	}))
-}
-
-// departLocked counts one departure on a directed link against its
-// held frames, releasing any whose depth is exhausted. Callers hold
-// f.mu.
-func (f *Fabric) departLocked(dir pair) {
-	hs := f.held[dir]
-	if len(hs) == 0 {
-		return
-	}
-	keep := hs[:0]
-	var release []*heldFrame
-	for _, h := range hs {
-		h.remaining--
-		if h.remaining <= 0 {
-			h.released = true
-			release = append(release, h)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	f.held[dir] = keep
-	for _, h := range release {
-		h.fireLocked()
-	}
-}
-
-// linkFor mirrors netsim precedence: directed override, then default.
-// Callers hold f.mu.
-func (f *Fabric) linkFor(from, to core.EndpointID) netsim.Link {
-	if l, ok := f.links[pair{from, to}]; ok {
-		return l
-	}
-	return f.def
-}
-
 // Now is wall time since the fabric was built.
 func (f *Fabric) Now() time.Duration { return time.Since(f.start) }
 
-// At schedules fn at absolute fabric time t on a timer goroutine.
-// After Close, pending timers are stopped and new ones are not armed —
-// that is what ends the cluster's self-re-arming workload ticks.
+// At schedules fn at absolute fabric time t on a timer goroutine. A
+// timer that fires after Close returns without running fn — that is
+// what ends the cluster's self-re-arming workload ticks. Fired timers
+// are not retained, so a long run arming ticks continuously holds only
+// the ones still pending.
 func (f *Fabric) At(t time.Duration, fn func()) {
-	d := t - f.Now()
-	if d < 0 {
-		d = 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.timers = append(f.timers, time.AfterFunc(d, fn))
+	time.AfterFunc(t-f.Now(), func() {
+		f.mu.Lock()
+		closed := f.closed
+		f.mu.Unlock()
+		if !closed {
+			fn()
+		}
+	})
 }
 
 // RunFor sleeps: on a wall-clock fabric the sockets run themselves.
@@ -459,23 +297,21 @@ func (f *Fabric) RunFor(d time.Duration) { time.Sleep(d) }
 func (f *Fabric) SetLink(a, b core.EndpointID, l netsim.Link) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.links[pair{a, b}] = l
-	f.links[pair{b, a}] = l
+	f.rules.SetLink(a, b, l)
 }
 
 // SetLinkDirected overrides the link for frames from a to b only.
 func (f *Fabric) SetLinkDirected(a, b core.EndpointID, l netsim.Link) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.links[pair{a, b}] = l
+	f.rules.SetLinkDirected(a, b, l)
 }
 
 // ClearLink removes overrides between a and b (both directions).
 func (f *Fabric) ClearLink(a, b core.EndpointID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.links, pair{a, b})
-	delete(f.links, pair{b, a})
+	f.rules.ClearLink(a, b)
 }
 
 // SetHost overrides the per-host limits for one member, as in netsim:
@@ -485,16 +321,14 @@ func (f *Fabric) ClearLink(a, b core.EndpointID) {
 func (f *Fabric) SetHost(id core.EndpointID, h netsim.Host) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.hosts[id] = h
-	delete(f.egressFree, id)
+	f.rules.SetHost(id, h)
 }
 
 // ClearHost removes the per-host limits for one member.
 func (f *Fabric) ClearHost(id core.EndpointID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.hosts, id)
-	delete(f.egressFree, id)
+	f.rules.ClearHost(id)
 }
 
 // Crash fail-stops a member: its stacks are destroyed (timers die,
@@ -504,7 +338,7 @@ func (f *Fabric) ClearHost(id core.EndpointID) {
 func (f *Fabric) Crash(id core.EndpointID) {
 	f.mu.Lock()
 	n := f.nodes[id]
-	f.crashed[id] = true
+	f.rules.Crash(id)
 	f.mu.Unlock()
 	if n != nil {
 		n.ep.Destroy()
@@ -528,27 +362,7 @@ func (f *Fabric) Detach(id core.EndpointID) {
 		delete(f.bySrc, n.real.String())
 	}
 	delete(f.nodes, id)
-	delete(f.crashed, id)
-	delete(f.part, id)
-	for p := range f.links {
-		if p.a == id || p.b == id {
-			delete(f.links, p)
-		}
-	}
-	for p := range f.linkFree {
-		if p.a == id || p.b == id {
-			delete(f.linkFree, p)
-		}
-	}
-	for p := range f.held {
-		if p.a == id || p.b == id {
-			delete(f.held, p)
-		}
-	}
-	delete(f.hosts, id)
-	delete(f.egressFree, id)
-	delete(f.egressCongested, id)
-	delete(f.egressDropped, id)
+	f.rules.Forget(id)
 	f.mu.Unlock()
 	if n != nil {
 		n.tr.Close()
@@ -562,26 +376,23 @@ func (f *Fabric) Detach(id core.EndpointID) {
 func (f *Fabric) Partition(groups ...[]core.EndpointID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.part = make(map[core.EndpointID]int)
-	for i, g := range groups {
-		for _, id := range g {
-			f.part[id] = i + 1
-		}
-	}
+	f.rules.Partition(groups...)
 }
 
 // Heal removes all partitions.
 func (f *Fabric) Heal() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.part = make(map[core.EndpointID]int)
+	f.rules.Heal()
 }
 
 // Stats snapshots the proxy counters.
 func (f *Fabric) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
+	s := f.stats
+	s.Ledger = f.rules.Ledger()
+	return s
 }
 
 // TransportStats sums the udpnet counters over every incarnation that
@@ -602,7 +413,7 @@ func (f *Fabric) TransportStats() udpnet.Stats {
 	return total
 }
 
-// Close quiesces the fabric: stops schedule timers, destroys every
+// Close quiesces the fabric: disarms schedule timers, destroys every
 // member stack (cancelling protocol timers), closes all sockets, and
 // waits for the proxy goroutines to exit. After Close, recorded
 // histories are stable and safe to check.
@@ -613,17 +424,12 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	timers := f.timers
-	f.timers = nil
 	nodes := make([]*node, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		nodes = append(nodes, n)
 	}
 	f.mu.Unlock()
 
-	for _, t := range timers {
-		t.Stop()
-	}
 	for _, n := range nodes {
 		n.ep.Destroy()
 	}

@@ -101,7 +101,7 @@ func TestProxyAppliesLossAndDirectedLinks(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.route(nb, na.real.String(), frame) // a -> b: lossy
 	}
-	waitFor(t, func() bool { return f.Stats().Dropped == 10 })
+	waitFor(t, func() bool { return f.Stats().Lost == 10 })
 	f.route(na, nb.real.String(), frame) // b -> a: default link
 	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
 
@@ -226,5 +226,34 @@ func TestGarbleLedgerMatchesDecodeErrors(t *testing.T) {
 	}
 	if got := f.TransportStats().Malformed; got != uint64(frames) {
 		t.Fatalf("Malformed = %d, want %d (every garbled frame must fail decode)", got, frames)
+	}
+}
+
+// TestProxyDupGarblesEachCopy: the two copies of a duplicated frame
+// are garbled independently, as in the simulator — each copy draws
+// its own corruption and both land in the ledger.
+func TestProxyDupGarblesEachCopy(t *testing.T) {
+	f, na, nb := twoNodes(t, 9)
+	f.SetLinkDirected(na.id, nb.id, netsim.Link{DupRate: 1, GarbleRate: 1})
+	f.route(nb, na.real.String(), []byte{0, 0})
+	waitFor(t, func() bool {
+		return f.Stats().Forwarded == 2 && f.TransportStats().Malformed == 2
+	})
+	if st := f.Stats(); st.Duplicated != 1 || st.Garbled != 2 {
+		t.Fatalf("ledger %+v, want Duplicated=1 Garbled=2", st)
+	}
+}
+
+// TestAtAfterCloseNeverRuns: a schedule timer that comes due after
+// Close returns without running its function.
+func TestAtAfterCloseNeverRuns(t *testing.T) {
+	f := New(Config{Seed: 10})
+	ran := make(chan struct{}, 1)
+	f.At(f.Now()+20*time.Millisecond, func() { ran <- struct{}{} })
+	f.Close()
+	select {
+	case <-ran:
+		t.Fatal("At function ran after Close")
+	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -1,13 +1,13 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
+	"strings"
 	"time"
 
+	"horus/internal/benchkit"
 	"horus/internal/chaos"
 )
 
@@ -140,40 +140,13 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 	return sr, nil
 }
 
-// Snapshot is the machine-readable sweep document, schema-compatible
-// with horus-bench -json so the same tooling can diff either: one
+// Snapshot renders the sweep in the shared benchmark schema: one
 // record per sweep point (ns_per_op carries p99) plus one knee record.
-type Snapshot struct {
-	Suite      string   `json:"suite"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"num_cpu"`
-	Benchmarks []Record `json:"benchmarks"`
-}
-
-// Record mirrors horus-bench's per-benchmark JSON record.
-type Record struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	MBPerS      float64            `json:"mb_per_s,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Snapshot renders the sweep. Environment fields describe the host;
-// every metric field is a pure function of the seed on the simulated
-// fabric, so two same-seed snapshots are byte-identical on one host.
-func (sr *SweepResult) Snapshot() Snapshot {
-	snap := Snapshot{
-		Suite:     "horus-load",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
+// Environment fields describe the host; every metric field is a pure
+// function of the seed on the simulated fabric, so two same-seed
+// snapshots are byte-identical on one host.
+func (sr *SweepResult) Snapshot() benchkit.Snapshot {
+	snap := benchkit.NewSnapshot("horus-load")
 	arm := fmt.Sprintf("%s/fast=%v", sr.Stack, sr.FastPath)
 	for _, p := range sr.Points {
 		r := p.Result
@@ -181,7 +154,7 @@ func (sr *SweepResult) Snapshot() Snapshot {
 		if p.Pass {
 			pass = 1
 		}
-		snap.Benchmarks = append(snap.Benchmarks, Record{
+		snap.Benchmarks = append(snap.Benchmarks, benchkit.Record{
 			Name:       fmt.Sprintf("Load/%s/load=%g", arm, p.Load),
 			Iterations: int(r.OfferedCasts),
 			NsPerOp:    float64(r.P99),
@@ -206,7 +179,7 @@ func (sr *SweepResult) Snapshot() Snapshot {
 	if sr.Saturated {
 		sat = 1
 	}
-	snap.Benchmarks = append(snap.Benchmarks, Record{
+	snap.Benchmarks = append(snap.Benchmarks, benchkit.Record{
 		Name: fmt.Sprintf("Knee/%s", arm),
 		Extra: map[string]float64{
 			"knee_cps":  sr.Knee,
@@ -217,33 +190,15 @@ func (sr *SweepResult) Snapshot() Snapshot {
 	return snap
 }
 
-// MarshalJSON-stable rendering for files and stdout.
-func (s Snapshot) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// DecodeSnapshot parses a snapshot previously rendered by Encode.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
-}
-
-// CheckAgainst gates a new snapshot on an old one: knee locations must
-// agree within tol (a fraction, e.g. 0.15), and per-point goodput
-// ratios must not fall by more than tol. Records present on only one
-// side are ignored — grids may grow.
-func (s Snapshot) CheckAgainst(old Snapshot, tol float64) error {
+// CheckAgainst gates a new sweep snapshot s on an old one: knee
+// locations must agree within tol (a fraction, e.g. 0.15), and
+// per-point goodput ratios must not fall by more than tol. Records
+// present on only one side are ignored — grids may grow.
+func CheckAgainst(s, old benchkit.Snapshot, tol float64) error {
 	if tol <= 0 {
 		tol = 0.15
 	}
-	prev := make(map[string]Record, len(old.Benchmarks))
+	prev := make(map[string]benchkit.Record, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
 		prev[r.Name] = r
 	}
@@ -267,18 +222,7 @@ func (s Snapshot) CheckAgainst(old Snapshot, tol float64) error {
 		}
 	}
 	if len(errs) > 0 {
-		return fmt.Errorf("loadgen: snapshot check failed:\n  %s", joinLines(errs))
+		return fmt.Errorf("loadgen: snapshot check failed:\n  %s", strings.Join(errs, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
 }

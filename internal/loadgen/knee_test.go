@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"horus/internal/benchkit"
 	"horus/internal/chaos"
 	"horus/internal/netsim"
 )
@@ -122,7 +123,7 @@ func TestSnapshotCheckAgainst(t *testing.T) {
 	sr := runKneeSweep(t, sc)
 	snap := sr.Snapshot()
 
-	if err := snap.CheckAgainst(snap, 0.15); err != nil {
+	if err := CheckAgainst(snap, snap, 0.15); err != nil {
 		t.Fatalf("snapshot fails against itself: %v", err)
 	}
 
@@ -133,7 +134,7 @@ func TestSnapshotCheckAgainst(t *testing.T) {
 			moved.Benchmarks[i].Extra = map[string]float64{"knee_cps": r.Extra["knee_cps"] * 2, "saturated": r.Extra["saturated"], "slope": r.Extra["slope"]}
 		}
 	}
-	if err := moved.CheckAgainst(snap, 0.15); err == nil {
+	if err := CheckAgainst(moved, snap, 0.15); err == nil {
 		t.Fatal("doubled knee passed the check")
 	}
 
@@ -144,14 +145,14 @@ func TestSnapshotCheckAgainst(t *testing.T) {
 			worse.Benchmarks[i].Extra["ratio"] = r.Extra["ratio"] - 0.5
 		}
 	}
-	if err := worse.CheckAgainst(snap, 0.15); err == nil {
+	if err := CheckAgainst(worse, snap, 0.15); err == nil {
 		t.Fatal("collapsed ratio passed the check")
 	}
 
 	// Records only one side knows are ignored (grids may grow).
 	grown := sr.Snapshot()
-	grown.Benchmarks = append(grown.Benchmarks, Record{Name: "Load/new/load=999", Extra: map[string]float64{"ratio": 0.1}})
-	if err := grown.CheckAgainst(snap, 0.15); err != nil {
+	grown.Benchmarks = append(grown.Benchmarks, benchkit.Record{Name: "Load/new/load=999", Extra: map[string]float64{"ratio": 0.1}})
+	if err := CheckAgainst(grown, snap, 0.15); err != nil {
 		t.Fatalf("grown grid failed the check: %v", err)
 	}
 }

@@ -257,17 +257,19 @@ type ledgerFabric interface {
 // statsDelta returns b - a field-wise.
 func statsDelta(a, b netsim.Stats) netsim.Stats {
 	return netsim.Stats{
-		Sent:            b.Sent - a.Sent,
-		Delivered:       b.Delivered - a.Delivered,
-		Lost:            b.Lost - a.Lost,
-		Garbled:         b.Garbled - a.Garbled,
-		Duplicated:      b.Duplicated - a.Duplicated,
-		Blocked:         b.Blocked - a.Blocked,
-		Bytes:           b.Bytes - a.Bytes,
-		Reordered:       b.Reordered - a.Reordered,
-		Throttled:       b.Throttled - a.Throttled,
-		Congested:       b.Congested - a.Congested,
-		CollapseDropped: b.CollapseDropped - a.CollapseDropped,
+		Sent:      b.Sent - a.Sent,
+		Delivered: b.Delivered - a.Delivered,
+		Bytes:     b.Bytes - a.Bytes,
+		Ledger: netsim.Ledger{
+			Blocked:         b.Blocked - a.Blocked,
+			Lost:            b.Lost - a.Lost,
+			Duplicated:      b.Duplicated - a.Duplicated,
+			Garbled:         b.Garbled - a.Garbled,
+			Reordered:       b.Reordered - a.Reordered,
+			Throttled:       b.Throttled - a.Throttled,
+			Congested:       b.Congested - a.Congested,
+			CollapseDropped: b.CollapseDropped - a.CollapseDropped,
+		},
 	}
 }
 

@@ -13,7 +13,6 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -58,8 +57,7 @@ type Link struct {
 	ReorderHold time.Duration
 }
 
-// Reorder-rule defaults, shared by every fabric that implements the
-// vocabulary (netsim here, chaosnet over real sockets).
+// Reorder-rule defaults.
 const (
 	DefaultReorderDepth = 3
 	DefaultReorderHold  = 250 * time.Millisecond
@@ -77,23 +75,10 @@ type Config struct {
 
 // Stats counts network-level activity, for tests and experiments.
 type Stats struct {
-	Sent       int // packets handed to the network (per destination)
-	Delivered  int // packets delivered to an endpoint
-	Lost       int // packets dropped by loss
-	Garbled    int // packets corrupted in flight
-	Duplicated int // extra deliveries due to duplication
-	Blocked    int // packets dropped by partition or crash
-	Bytes      int // wire bytes delivered
-	Reordered  int // packets held back by the reorder rule
-	Throttled  int // packets that queued behind earlier traffic (bandwidth)
-	// Congested counts packets that queued behind earlier traffic in
-	// their host's shared egress bucket (Host.EgressBudget) — the
-	// per-host analogue of Throttled.
-	Congested int
-	// CollapseDropped counts packets dropped because the host's
-	// bounded egress queue overflowed: offered load exceeded the
-	// egress budget for long enough that delay turned into loss.
-	CollapseDropped int
+	Sent      int // packets handed to the network (per destination)
+	Delivered int // packets delivered to an endpoint
+	Bytes     int // wire bytes delivered
+	Ledger        // rule firings
 }
 
 // Network is a simulated broadcast medium connecting endpoints. It
@@ -105,7 +90,6 @@ type Network struct {
 	now       time.Duration
 	events    eventHeap
 	seq       uint64
-	rng       *rand.Rand
 	endpoints map[core.EndpointID]*core.Endpoint
 	order     []core.EndpointID // attach order, for deterministic fan-out
 	// groups tracks which endpoints have a stack composed for which
@@ -116,52 +100,19 @@ type Network struct {
 	// per-broadcast cost from O(cluster endpoints) into O(group
 	// members), which is what lets thousands of endpoints share one
 	// simulated fabric (see the loadgen harness).
-	groups     map[core.GroupAddr][]core.EndpointID
-	links      map[pair]Link // directed overrides: pair{from, to}
-	def        Link
-	crashed    map[core.EndpointID]bool
-	partition  map[core.EndpointID]int // partition id; absent = 0
-	linkFree   map[pair]time.Duration  // directed link busy-until (bandwidth model)
-	held       map[pair][]*heldPacket  // directed link reorder holds
-	hosts      map[core.EndpointID]Host
-	egressFree map[core.EndpointID]time.Duration // per-host egress busy-until
-	// Per-host slices of the egress ledger, feeding the
-	// core.CongestionReporter hook; the global Stats counters remain
-	// the sum over hosts.
-	egressCongested map[core.EndpointID]uint64
-	egressDropped   map[core.EndpointID]uint64
-	nextBirth       uint64
-	stats           Stats
+	groups    map[core.GroupAddr][]core.EndpointID
+	rules     *Rules
+	nextBirth uint64
+	stats     Stats // Sent, Delivered, Bytes; the Ledger lives in rules
 }
-
-// heldPacket is one packet parked by the reorder rule, waiting for
-// `remaining` later departures on its directed link (or the hold
-// backstop) before it transmits.
-type heldPacket struct {
-	remaining  int
-	released   bool
-	sendLocked func() // transmit; caller holds n.mu
-}
-
-type pair struct{ a, b core.EndpointID }
 
 // New creates a network.
 func New(cfg Config) *Network {
 	return &Network{
-		rng:             rand.New(rand.NewSource(cfg.Seed)),
-		endpoints:       make(map[core.EndpointID]*core.Endpoint),
-		groups:          make(map[core.GroupAddr][]core.EndpointID),
-		links:           make(map[pair]Link),
-		def:             cfg.DefaultLink,
-		crashed:         make(map[core.EndpointID]bool),
-		partition:       make(map[core.EndpointID]int),
-		linkFree:        make(map[pair]time.Duration),
-		held:            make(map[pair][]*heldPacket),
-		hosts:           make(map[core.EndpointID]Host),
-		egressFree:      make(map[core.EndpointID]time.Duration),
-		egressCongested: make(map[core.EndpointID]uint64),
-		egressDropped:   make(map[core.EndpointID]uint64),
-		nextBirth:       1,
+		endpoints: make(map[core.EndpointID]*core.Endpoint),
+		groups:    make(map[core.GroupAddr][]core.EndpointID),
+		rules:     NewRules(cfg.Seed, cfg.DefaultLink),
+		nextBirth: 1,
 	}
 }
 
@@ -217,8 +168,7 @@ func (n *Network) LeaveGroup(id core.EndpointID, g core.GroupAddr) {
 func (n *Network) SetLink(a, b core.EndpointID, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[pair{a, b}] = l
-	n.links[pair{b, a}] = l
+	n.rules.SetLink(a, b, l)
 }
 
 // SetLinkDirected overrides the link for packets travelling from a to
@@ -229,7 +179,7 @@ func (n *Network) SetLink(a, b core.EndpointID, l Link) {
 func (n *Network) SetLinkDirected(a, b core.EndpointID, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[pair{a, b}] = l
+	n.rules.SetLinkDirected(a, b, l)
 }
 
 // ClearLink removes any override between a and b (both directions);
@@ -237,8 +187,7 @@ func (n *Network) SetLinkDirected(a, b core.EndpointID, l Link) {
 func (n *Network) ClearLink(a, b core.EndpointID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.links, pair{a, b})
-	delete(n.links, pair{b, a})
+	n.rules.ClearLink(a, b)
 }
 
 // SetDefaultLink replaces the default link applied to all pairs
@@ -246,7 +195,7 @@ func (n *Network) ClearLink(a, b core.EndpointID) {
 func (n *Network) SetDefaultLink(l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.def = l
+	n.rules.SetDefaultLink(l)
 }
 
 // SetHost overrides the per-host limits for the named endpoint. An
@@ -256,31 +205,14 @@ func (n *Network) SetDefaultLink(l Link) {
 func (n *Network) SetHost(id core.EndpointID, h Host) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.hosts[id] = h
-	// A fresh budget starts with an empty bucket: the horizon of a
-	// previous, possibly tighter budget must not leak into this one.
-	delete(n.egressFree, id)
+	n.rules.SetHost(id, h)
 }
 
 // ClearHost removes the per-host limits for the named endpoint.
 func (n *Network) ClearHost(id core.EndpointID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.hosts, id)
-	delete(n.egressFree, id)
-}
-
-func (n *Network) linkFor(from, to core.EndpointID) Link {
-	// Fast path: no overrides configured. The pair hash costs two
-	// string hashes per packet, which dominates a cluster-scale soak
-	// where every link is the default.
-	if len(n.links) == 0 {
-		return n.def
-	}
-	if l, ok := n.links[pair{from, to}]; ok {
-		return l
-	}
-	return n.def
+	n.rules.ClearHost(id)
 }
 
 // Crash fail-stops the endpoint: all of its traffic is dropped from
@@ -290,7 +222,7 @@ func (n *Network) linkFor(from, to core.EndpointID) Link {
 func (n *Network) Crash(id core.EndpointID) {
 	n.mu.Lock()
 	ep := n.endpoints[id]
-	n.crashed[id] = true
+	n.rules.Crash(id)
 	n.mu.Unlock()
 	if ep != nil {
 		ep.Destroy()
@@ -308,33 +240,13 @@ func (n *Network) Detach(id core.EndpointID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.endpoints, id)
-	delete(n.crashed, id)
-	delete(n.partition, id)
+	n.rules.Forget(id)
 	for i, e := range n.order {
 		if e == id {
 			n.order = append(n.order[:i], n.order[i+1:]...)
 			break
 		}
 	}
-	for p := range n.links {
-		if p.a == id || p.b == id {
-			delete(n.links, p)
-		}
-	}
-	for p := range n.linkFree {
-		if p.a == id || p.b == id {
-			delete(n.linkFree, p)
-		}
-	}
-	for p := range n.held {
-		if p.a == id || p.b == id {
-			delete(n.held, p)
-		}
-	}
-	delete(n.hosts, id)
-	delete(n.egressFree, id)
-	delete(n.egressCongested, id)
-	delete(n.egressDropped, id)
 	// Crash→Destroy already deregistered the endpoint's groups through
 	// core.GroupRegistrar; sweep anyway so an endpoint the destroy path
 	// never reached (e.g. attached but externally constructed) cannot
@@ -356,7 +268,7 @@ func (n *Network) Detach(id core.EndpointID) {
 func (n *Network) Crashed(id core.EndpointID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.crashed[id]
+	return n.rules.Crashed(id)
 }
 
 // Partition splits the network into component groups; traffic flows
@@ -364,26 +276,23 @@ func (n *Network) Crashed(id core.EndpointID) bool {
 func (n *Network) Partition(groups ...[]core.EndpointID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.partition = make(map[core.EndpointID]int)
-	for i, g := range groups {
-		for _, id := range g {
-			n.partition[id] = i + 1
-		}
-	}
+	n.rules.Partition(groups...)
 }
 
 // Heal removes all partitions.
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.partition = make(map[core.EndpointID]int)
+	n.rules.Heal()
 }
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.stats
+	s := n.stats
+	s.Ledger = n.rules.Ledger()
+	return s
 }
 
 // EgressFeedback snapshots the egress ledger for one sending host,
@@ -394,11 +303,7 @@ func (n *Network) Stats() Stats {
 func (n *Network) EgressFeedback(id core.EndpointID) core.EgressFeedback {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return core.EgressFeedback{
-		BacklogBytes:    BucketBacklog(n.now, n.egressFree[id], n.hosts[id].EgressBudget),
-		Congested:       n.egressCongested[id],
-		CollapseDropped: n.egressDropped[id],
-	}
+	return n.rules.EgressFeedback(id, n.now)
 }
 
 // Now returns the current virtual time. Part of core.Transport.
@@ -415,7 +320,7 @@ func (n *Network) Now() time.Duration {
 func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.crashed) != 0 && n.crashed[from] {
+	if n.rules.Crashed(from) {
 		return
 	}
 	targets := dests
@@ -426,7 +331,7 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 	// reuse wire after Send returns, but deliveries only read the
 	// buffer (Deliver unmarshals into fresh storage), so per-
 	// destination copies are needed only when a link garbles bytes in
-	// flight — sendOneLocked clones on that path alone.
+	// flight — the rules clone on that path alone.
 	shared := make([]byte, len(wire))
 	copy(shared, wire)
 	for _, dst := range targets {
@@ -434,96 +339,33 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 	}
 }
 
-// sendOneLocked routes one copy of wire toward dst, applying link
-// faults. wire is the fan-out's shared defensive copy: it must not be
-// mutated, only garble clones it. Caller holds n.mu.
+// sendOneLocked routes one copy of wire toward dst through the link
+// rules. wire is the fan-out's shared defensive copy: the rules never
+// mutate it (a garbled copy is a clone). Caller holds n.mu.
 func (n *Network) sendOneLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, wire []byte) {
 	n.stats.Sent++
-	ep := n.endpoints[dst]
-	// Emptiness guards: each of these maps is keyed by (a pair of)
-	// EndpointIDs, whose Site strings make every lookup a string hash.
-	// Idle fault machinery must not tax the per-packet path.
-	if ep == nil ||
-		(len(n.crashed) != 0 && n.crashed[dst]) ||
-		(len(n.partition) != 0 && n.partition[from] != n.partition[dst]) {
-		n.stats.Blocked++
-		return
-	}
-	l := n.linkFor(from, dst)
-	deliveries := 1
-	if l.DupRate > 0 && n.rng.Float64() < l.DupRate {
-		deliveries = 2
-		n.stats.Duplicated++
-	}
-	for i := 0; i < deliveries; i++ {
-		if l.LossRate > 0 && n.rng.Float64() < l.LossRate {
-			n.stats.Lost++
+	adm := n.rules.Admit(from, dst, n.endpoints[dst] != nil)
+	for i := 0; i < adm.Copies; i++ {
+		c := n.rules.DrawCopy(adm.Link, wire)
+		if c.Lost {
 			continue
 		}
-		buf := wire
-		if l.GarbleRate > 0 && len(buf) > 0 && n.rng.Float64() < l.GarbleRate {
-			buf = append([]byte(nil), wire...)
-			buf[n.rng.Intn(len(buf))] ^= byte(1 + n.rng.Intn(255))
-			n.stats.Garbled++
-		}
-		if l.ReorderRate > 0 && n.rng.Float64() < l.ReorderRate {
-			n.holdLocked(from, group, dst, buf, l)
+		if c.Hold {
+			n.rules.Hold(from, dst, adm.Link, n.releaser(from, group, dst, c.Buf), n.backstopLocked)
 			continue
 		}
-		n.transmitLocked(from, group, dst, buf)
-		n.departLocked(pair{a: from, b: dst})
+		n.transmitLocked(from, group, dst, c.Buf)
+		n.rules.Depart(from, dst)
 	}
 }
 
-// transmitLocked puts one packet on the directed link: host egress
-// budget, then propagation delay, jitter, and bandwidth serialization,
-// then a scheduled delivery. Rules are read at transmit time, so a
-// packet released from a reorder hold sees the rules in force when it
-// actually departs. The host bucket is acquired before the link
-// bucket: the packet clears the sender's shared NIC first
-// (store-and-forward), then contends for the directed link from that
-// moment. Caller holds n.mu.
+// transmitLocked times one packet on the directed link and schedules
+// its delivery. Caller holds n.mu.
 func (n *Network) transmitLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) {
 	ep := n.endpoints[dst]
-	if ep == nil || (len(n.crashed) != 0 && n.crashed[dst]) {
-		n.stats.Blocked++
+	delay, ok := n.rules.Transmit(from, dst, ep != nil, n.now, len(buf))
+	if !ok {
 		return
-	}
-	clear := n.now
-	if len(n.hosts) != 0 {
-		newFree, c, out := EgressAcquire(n.hosts[from], from, dst, n.now, n.egressFree[from], len(buf))
-		clear = c
-		switch out {
-		case EgressDropped:
-			n.stats.CollapseDropped++
-			n.egressDropped[from]++
-			return
-		case EgressQueued:
-			n.stats.Congested++
-			n.egressCongested[from]++
-			n.egressFree[from] = newFree
-		case EgressGranted:
-			n.egressFree[from] = newFree
-		}
-	}
-	l := n.linkFor(from, dst)
-	delay := l.Delay
-	if l.Jitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(l.Jitter)))
-	}
-	if l.Bandwidth > 0 {
-		// Serialize on the directed link: the packet departs when the
-		// link is free — no earlier than its NIC clear time — and
-		// occupies the link for size/Bandwidth.
-		dir := pair{a: from, b: dst}
-		linkFree, queued := BucketAcquire(clear, n.linkFree[dir], len(buf), l.Bandwidth)
-		if queued {
-			n.stats.Throttled++
-		}
-		n.linkFree[dir] = linkFree
-		delay += linkFree - n.now
-	} else {
-		delay += clear - n.now
 	}
 	// A delivery is plain data on the event, not a closure: one
 	// allocation per packet in flight instead of two.
@@ -531,11 +373,28 @@ func (n *Network) transmitLocked(from core.EndpointID, group core.GroupAddr, dst
 	ev.dstEp, ev.dst, ev.group, ev.buf = ep, dst, group, buf
 }
 
+// releaser returns the release of a held packet: it transmits the
+// packet under the rules in force at that moment. Caller holds n.mu
+// when calling the result.
+func (n *Network) releaser(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) func() {
+	return func() { n.transmitLocked(from, group, dst, buf) }
+}
+
+// backstopLocked arms a reorder hold's backstop as a virtual-time
+// event; fireLocked runs under n.mu. Caller holds n.mu.
+func (n *Network) backstopLocked(d time.Duration, fireLocked func()) {
+	n.scheduleLocked(n.now+d, func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		fireLocked()
+	})
+}
+
 // deliver runs a delivery event: the packet reaches its endpoint
 // unless the endpoint crashed while it was in flight.
 func (n *Network) deliver(ev *event) {
 	n.mu.Lock()
-	dead := len(n.crashed) != 0 && n.crashed[ev.dst]
+	dead := n.rules.Crashed(ev.dst)
 	if !dead {
 		n.stats.Delivered++
 		n.stats.Bytes += len(ev.buf)
@@ -543,69 +402,6 @@ func (n *Network) deliver(ev *event) {
 	n.mu.Unlock()
 	if !dead {
 		ev.dstEp.Deliver(ev.group, ev.buf)
-	}
-}
-
-// holdLocked parks one packet under the reorder rule: it transmits
-// after ReorderDepth later departures on the same directed link, or
-// after ReorderHold if the link goes quiet first. Caller holds n.mu.
-func (n *Network) holdLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte, l Link) {
-	depth := l.ReorderDepth
-	if depth <= 0 {
-		depth = DefaultReorderDepth
-	}
-	hold := l.ReorderHold
-	if hold <= 0 {
-		hold = DefaultReorderHold
-	}
-	n.stats.Reordered++
-	dir := pair{a: from, b: dst}
-	h := &heldPacket{remaining: depth}
-	h.sendLocked = func() { n.transmitLocked(from, group, dst, buf) }
-	n.held[dir] = append(n.held[dir], h)
-	n.scheduleLocked(n.now+hold, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if h.released {
-			return
-		}
-		h.released = true
-		hs := n.held[dir]
-		for i, x := range hs {
-			if x == h {
-				n.held[dir] = append(hs[:i], hs[i+1:]...)
-				break
-			}
-		}
-		h.sendLocked()
-	})
-}
-
-// departLocked counts one departure on a directed link against its
-// held packets, releasing any whose depth is exhausted. Caller holds
-// n.mu.
-func (n *Network) departLocked(dir pair) {
-	if len(n.held) == 0 {
-		return
-	}
-	hs := n.held[dir]
-	if len(hs) == 0 {
-		return
-	}
-	keep := hs[:0]
-	var release []*heldPacket
-	for _, h := range hs {
-		h.remaining--
-		if h.remaining <= 0 {
-			h.released = true
-			release = append(release, h)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	n.held[dir] = keep
-	for _, h := range release {
-		h.sendLocked()
 	}
 }
 

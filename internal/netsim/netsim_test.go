@@ -591,8 +591,7 @@ func TestEgressQueueOverflowDrops(t *testing.T) {
 
 // TestEgressLoopbackExempt: a broadcast's self-copy never crosses the
 // NIC, so it is delivered instantly and untouched by the egress
-// budget — matching chaosnet, where members are simply not wired to
-// their own proxy.
+// budget.
 func TestEgressLoopbackExempt(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 5})
 	a, la := attach(t, net, "a")

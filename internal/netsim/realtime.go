@@ -4,7 +4,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -12,16 +11,15 @@ import (
 )
 
 // RealTime is a goroutine-based in-process transport using wall-clock
-// timers. It provides the same best-effort semantics as Network but
-// runs in real time, for example programs that want to feel like a
-// live system. Determinism is not guaranteed; tests should use Network.
+// timers. It provides the same best-effort semantics as Network — the
+// same link rules between every pair — but runs in real time, for
+// example programs that want to feel like a live system. Determinism
+// is not guaranteed; tests should use Network.
 type RealTime struct {
 	mu        sync.Mutex
-	rng       *rand.Rand
+	rules     *Rules
 	endpoints map[core.EndpointID]*core.Endpoint
 	order     []core.EndpointID
-	crashed   map[core.EndpointID]bool
-	link      Link
 	nextBirth uint64
 	start     time.Time
 }
@@ -30,10 +28,8 @@ type RealTime struct {
 // behaviour between every pair.
 func NewRealTime(seed int64, link Link) *RealTime {
 	return &RealTime{
-		rng:       rand.New(rand.NewSource(seed)),
+		rules:     NewRules(seed, link),
 		endpoints: make(map[core.EndpointID]*core.Endpoint),
-		crashed:   make(map[core.EndpointID]bool),
-		link:      link,
 		nextBirth: 1,
 		start:     time.Now(),
 	}
@@ -57,7 +53,7 @@ func (r *RealTime) NewEndpoint(site string) *core.Endpoint {
 func (r *RealTime) Crash(id core.EndpointID) {
 	r.mu.Lock()
 	ep := r.endpoints[id]
-	r.crashed[id] = true
+	r.rules.Crash(id)
 	r.mu.Unlock()
 	if ep != nil {
 		ep.Destroy()
@@ -67,47 +63,60 @@ func (r *RealTime) Crash(id core.EndpointID) {
 // Send implements core.Transport.
 func (r *RealTime) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	r.mu.Lock()
-	if r.crashed[from] {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.rules.Crashed(from) {
 		return
 	}
 	targets := dests
 	if len(targets) == 0 {
-		targets = append([]core.EndpointID(nil), r.order...)
+		targets = r.order
 	}
-	type delivery struct {
-		ep    *core.Endpoint
-		delay time.Duration
-	}
-	var out []delivery
+	// One copy shared by every destination: deliveries only read it.
+	shared := append([]byte(nil), wire...)
 	for _, dst := range targets {
-		ep := r.endpoints[dst]
-		if ep == nil || r.crashed[dst] {
-			continue
+		adm := r.rules.Admit(from, dst, r.endpoints[dst] != nil)
+		for i := 0; i < adm.Copies; i++ {
+			c := r.rules.DrawCopy(adm.Link, shared)
+			if c.Lost {
+				continue
+			}
+			if c.Hold {
+				r.rules.Hold(from, dst, adm.Link, r.releaser(from, group, dst, c.Buf), r.backstop)
+				continue
+			}
+			r.transmitLocked(from, group, dst, c.Buf)
+			r.rules.Depart(from, dst)
 		}
-		if r.link.LossRate > 0 && r.rng.Float64() < r.link.LossRate {
-			continue
-		}
-		delay := r.link.Delay
-		if r.link.Jitter > 0 {
-			delay += time.Duration(r.rng.Int63n(int64(r.link.Jitter)))
-		}
-		out = append(out, delivery{ep, delay})
 	}
-	r.mu.Unlock()
+}
 
-	for _, d := range out {
-		buf := make([]byte, len(wire))
-		copy(buf, wire)
-		ep := d.ep
-		if d.delay <= 0 {
-			// Deliver on a fresh goroutine to keep Send non-blocking;
-			// the endpoint's event queue serializes execution.
-			go ep.Deliver(group, buf)
-			continue
-		}
-		time.AfterFunc(d.delay, func() { ep.Deliver(group, buf) })
+// transmitLocked times one packet through the rules and delivers it
+// on a timer goroutine, so Send never blocks on the receiver. Caller
+// holds r.mu.
+func (r *RealTime) transmitLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) {
+	ep := r.endpoints[dst]
+	delay, ok := r.rules.Transmit(from, dst, ep != nil, r.Now(), len(buf))
+	if !ok {
+		return
 	}
+	time.AfterFunc(delay, func() { ep.Deliver(group, buf) })
+}
+
+// releaser returns the release of a held packet: it transmits the
+// packet under the rules in force at that moment. Caller holds r.mu
+// when calling the result.
+func (r *RealTime) releaser(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) func() {
+	return func() { r.transmitLocked(from, group, dst, buf) }
+}
+
+// backstop arms a reorder hold's backstop as a wall-clock timer;
+// fireLocked runs under r.mu.
+func (r *RealTime) backstop(d time.Duration, fireLocked func()) {
+	time.AfterFunc(d, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		fireLocked()
+	})
 }
 
 // SetTimer implements core.Transport using wall-clock timers.
