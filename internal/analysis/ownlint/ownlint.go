@@ -79,6 +79,7 @@ func run(pass *analysis.Pass) error {
 		}
 		return eng
 	}
+	checkRetention(pass)
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file.Pos()) {
 			continue
@@ -644,8 +645,11 @@ func (w *walker) reportChained(pos token.Pos, msg string, chain []string) {
 	})
 }
 
-func (w *walker) shortPos(pos token.Pos) string {
-	p := w.pass.Fset.Position(pos)
+func (w *walker) shortPos(pos token.Pos) string { return shortPos(w.pass.Fset, pos) }
+
+// shortPos renders pos as base-filename:line.
+func shortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
 	name := p.Filename
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]

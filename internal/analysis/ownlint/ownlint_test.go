@@ -10,3 +10,7 @@ import (
 func TestOwnlint(t *testing.T) {
 	analysistest.Run(t, ownlint.Analyzer, "horus/internal/layers/ownfix")
 }
+
+func TestOwnlintRetention(t *testing.T) {
+	analysistest.Run(t, ownlint.Analyzer, "horus/internal/layers/retainfix")
+}

@@ -155,8 +155,10 @@ var DeliverKinds = []string{"data", "status"}
 
 // Deliver measures Endpoint.Deliver of one NAK:COM packet into a
 // 10-member group: kind "data" is an in-order cast delivered to the
-// application, kind "status" a NAK status unicast. Both should cost
-// two allocations — the inbound entry and its byte slab.
+// application, kind "status" a NAK status unicast. A data packet costs
+// two allocations — the inbound entry and its byte slab, kept because
+// the application saw them; a status packet is consumed inside NAK and
+// recycled, so it costs none.
 func Deliver(kind string) func(*testing.B) {
 	return func(b *testing.B) {
 		f, err := NewReceiveFixture(10)
@@ -215,35 +217,59 @@ func (r *rawLayer) Up(ev *core.Event) {
 	r.Ctx.Up(ev)
 }
 
+// LoadFixture is the cluster-scale fabric of LoadTick: 100 groups of
+// 10 members on one simulated network, each group with one sender.
+type LoadFixture struct {
+	net     *netsim.Network
+	senders []*core.Group
+	body    []byte
+}
+
+// NewLoadFixture builds the 100-group x 10-member fabric.
+func NewLoadFixture() (*LoadFixture, error) {
+	const groups, members = 100, 10
+	f := &LoadFixture{
+		net:  netsim.New(netsim.Config{Seed: 3, DefaultLink: netsim.Link{Delay: 100 * time.Microsecond}}),
+		body: make([]byte, 64),
+	}
+	for g := 0; g < groups; g++ {
+		addr := core.GroupAddr(fmt.Sprintf("grp%d", g))
+		for m := 0; m < members; m++ {
+			ep := f.net.NewEndpoint(fmt.Sprintf("g%d-m%d", g, m))
+			grp, err := ep.Join(addr, core.StackSpec{func() core.Layer { return &rawLayer{} }}, nil)
+			if err != nil {
+				return nil, err
+			}
+			if m == 0 {
+				f.senders = append(f.senders, grp)
+			}
+		}
+	}
+	return f, nil
+}
+
+// Tick casts once in every group and runs the fabric until every copy
+// has been delivered: 1000 packets end to end.
+func (f *LoadFixture) Tick() {
+	for _, grp := range f.senders {
+		grp.Cast(message.New(f.body))
+	}
+	f.net.RunFor(time.Millisecond)
+}
+
 // LoadTick is the pinned cluster-scale fabric number: one broadcast in
 // every group of a 100-group x 10-member fabric (1000 packets end to
 // end), including delivery. This is the inner loop of the loadgen
 // soak; the broadcast-scoping fix and the packet fast paths are gated
 // on it.
 func LoadTick(b *testing.B) {
-	const groups, members = 100, 10
-	net := netsim.New(netsim.Config{Seed: 3, DefaultLink: netsim.Link{Delay: 100 * time.Microsecond}})
-	senders := make([]*core.Group, groups)
-	for g := 0; g < groups; g++ {
-		addr := core.GroupAddr(fmt.Sprintf("grp%d", g))
-		for m := 0; m < members; m++ {
-			ep := net.NewEndpoint(fmt.Sprintf("g%d-m%d", g, m))
-			grp, err := ep.Join(addr, core.StackSpec{func() core.Layer { return &rawLayer{} }}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m == 0 {
-				senders[g] = grp
-			}
-		}
+	f, err := NewLoadFixture()
+	if err != nil {
+		b.Fatal(err)
 	}
-	body := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, grp := range senders {
-			grp.Cast(message.New(body))
-		}
-		net.RunFor(time.Millisecond)
+		f.Tick()
 	}
 }

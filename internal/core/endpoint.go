@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"horus/internal/message"
 )
@@ -20,34 +21,59 @@ type Endpoint struct {
 	transport Transport
 	exec      executor
 
-	mu        sync.Mutex // guards groups, destroyed and malformed
-	groups    map[GroupAddr]*Group
+	// groups maps joined addresses to their groups. It is copy-on-
+	// write: Join and close install a fresh map under mu, and Deliver
+	// loads the current one without locking.
+	groups atomic.Pointer[map[GroupAddr]*Group]
+
+	mu        sync.Mutex // guards group-map writers, destroyed and malformed
 	destroyed bool
 	malformed int
 
+	// cur is the packet whose Up is running, nil outside one. Only the
+	// event queue touches it (see Context.Keep and Group.deliver).
+	cur *inbound
+
 	trace func(format string, args ...interface{})
 
-	// slowPath pins every stack of this endpoint to the per-layer
-	// reference path (zero value: compiled cast plans are used where
-	// they exist). Read on the event queue per cast; set it before
-	// traffic flows, or from within Do.
+	// slowPath pins every stack of this endpoint to the reference
+	// paths (zero value: compiled cast plans are used where they exist
+	// and inbound packets are recycled). Read on the event queue; set
+	// it before traffic flows, or from within Do.
 	slowPath bool
 
 	// wireTap observes every transmission (both the compiled and the
 	// reference send path) before it reaches the transport. The wire
-	// slice may alias a reused buffer: taps that retain bytes must
-	// copy. Same setting discipline as slowPath.
+	// and dests slices may alias reused buffers: taps that retain them
+	// must copy. Same setting discipline as slowPath.
 	wireTap func(dests []EndpointID, wire []byte)
 }
 
 // NewEndpoint creates an endpoint with the given identity on top of a
 // transport. This is the endpoint downcall of Table 1.
 func NewEndpoint(id EndpointID, t Transport) *Endpoint {
-	return &Endpoint{
-		id:        id,
-		transport: t,
-		groups:    make(map[GroupAddr]*Group),
+	e := &Endpoint{id: id, transport: t}
+	e.groups.Store(&map[GroupAddr]*Group{})
+	return e
+}
+
+// groupMap returns the current group map. Readers must not modify it.
+func (e *Endpoint) groupMap() map[GroupAddr]*Group { return *e.groups.Load() }
+
+// setGroupLocked installs a copy of the group map with addr bound to g, or
+// removed when g is nil. Caller holds e.mu.
+func (e *Endpoint) setGroupLocked(addr GroupAddr, g *Group) {
+	old := e.groupMap()
+	m := make(map[GroupAddr]*Group, len(old)+1)
+	for a, x := range old {
+		m[a] = x
 	}
+	if g == nil {
+		delete(m, addr)
+	} else {
+		m[addr] = g
+	}
+	e.groups.Store(&m)
 }
 
 // ID returns the endpoint's address.
@@ -57,17 +83,18 @@ func (e *Endpoint) ID() EndpointID { return e.id }
 // to disable.
 func (e *Endpoint) SetTrace(fn func(format string, args ...interface{})) { e.trace = fn }
 
-// SetFastPath selects between the compiled cast plan (true, the
-// default) and the per-layer reference path (false) for every stack of
-// this endpoint. The differential suite runs identical schedules both
-// ways and demands byte-identical wire output; applications never need
-// to call this.
+// SetFastPath selects between the fast paths (true, the default) and
+// the reference paths (false) for every stack of this endpoint: the
+// compiled cast plan or per-layer casting on the send side, recycled or
+// never-recycled inbound packets on the receive side. The differential
+// suite runs identical schedules both ways and demands byte-identical
+// wire output; applications never need to call this.
 func (e *Endpoint) SetFastPath(enabled bool) { e.slowPath = !enabled }
 
 // SetWireTap installs a hook observing every outgoing wire image with
 // its destination set, regardless of which send path produced it. The
-// wire slice may alias a reused buffer — copy to retain. Pass nil to
-// disable.
+// wire and dests slices may alias reused buffers — copy to retain. Pass
+// nil to disable.
 func (e *Endpoint) SetWireTap(fn func(dests []EndpointID, wire []byte)) { e.wireTap = fn }
 
 func (e *Endpoint) tracef(format string, args ...interface{}) {
@@ -89,7 +116,7 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 		e.mu.Unlock()
 		return nil, fmt.Errorf("endpoint %s: join %q: endpoint destroyed", e.id, addr)
 	}
-	if _, dup := e.groups[addr]; dup {
+	if _, dup := e.groupMap()[addr]; dup {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("endpoint %s: already joined group %q", e.id, addr)
 	}
@@ -115,11 +142,11 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 		e.mu.Unlock()
 		return nil, fmt.Errorf("endpoint %s: join %q: endpoint destroyed", e.id, addr)
 	}
-	if _, dup := e.groups[addr]; dup {
+	if _, dup := e.groupMap()[addr]; dup {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("endpoint %s: already joined group %q", e.id, addr)
 	}
-	e.groups[addr] = g
+	e.setGroupLocked(addr, g)
 	e.mu.Unlock()
 	if reg, ok := e.transport.(GroupRegistrar); ok {
 		reg.JoinGroup(e.id, addr)
@@ -132,17 +159,23 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 // dropped, which lets transports broadcast on a shared medium. Deliver
 // never retains wire: the bytes are copied into the packet's own slab
 // before Deliver returns, so a transport may pass a reused read buffer.
+//
+// The packet's event, message and slab come from a pool and go back to
+// it when the stack's Up returns, unless the packet was kept (see
+// inbound): a layer that stores the event calls Context.Keep, and a
+// packet that reaches the application handler is never recycled.
 func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
-	e.mu.Lock()
-	g := e.groups[group]
-	e.mu.Unlock()
+	g := e.groupMap()[group]
 	if g == nil {
 		return
 	}
-	in := new(inbound)
-	if err := message.UnmarshalInto(&in.msg, wire); err != nil {
+	in := inboundPool.Get().(*inbound)
+	slab, err := message.UnmarshalInto(&in.msg, wire, in.slab)
+	in.slab = slab
+	if err != nil {
 		// A garbled length prefix: indistinguishable from line noise,
 		// dropped exactly like a checksum failure would be.
+		inboundPool.Put(in)
 		return
 	}
 	in.ev = Event{Type: UPacket, Msg: &in.msg}
@@ -150,24 +183,42 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 }
 
 // upPacket runs one packet entry of the event queue: the arrival
-// enters the bottom of the group's stack.
+// enters the bottom of the group's stack. Afterwards the packet is
+// recycled unless something kept it, or the endpoint is pinned to the
+// reference path, whose receive side never recycles (the differential
+// suites compare the two).
 func (e *Endpoint) upPacket(g *Group, in *inbound) {
+	e.cur = in
 	defer func() {
+		e.cur = nil
 		// A garbled packet can corrupt a length prefix deep in a
 		// header, making a layer pop past the end of the message.
 		// That is line damage, not a program bug: drop the packet
 		// like any other loss (NAK repairs it) and count it. A
 		// CHKSUM layer placed low in the stack makes this path
 		// statistically unreachable, which is exactly the paper's
-		// §2 argument for that layer.
+		// §2 argument for that layer. A packet whose Up panicked is
+		// never recycled: a half-run layer may hold it.
 		if r := recover(); r != nil {
 			e.mu.Lock()
 			e.malformed++
 			e.mu.Unlock()
 			e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
+			return
+		}
+		if !in.kept && !e.slowPath {
+			in.recycle()
 		}
 	}()
 	g.stack.Up(&in.ev)
+}
+
+// keepCurrent marks the packet whose Up is running as kept. Outside a
+// packet's Up (timers, downcalls issued from Do) it does nothing.
+func (e *Endpoint) keepCurrent() {
+	if e.cur != nil {
+		e.cur.kept = true
+	}
 }
 
 // Malformed returns how many inbound packets were dropped because a
@@ -180,9 +231,7 @@ func (e *Endpoint) Malformed() int {
 
 // Group returns the handle for a joined group, or nil.
 func (e *Endpoint) Group(addr GroupAddr) *Group {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.groups[addr]
+	return e.groupMap()[addr]
 }
 
 // Destroy tears down every group stack and marks the endpoint dead;
@@ -196,8 +245,8 @@ func (e *Endpoint) Destroy() {
 		return
 	}
 	e.destroyed = true
-	gs := make([]*Group, 0, len(e.groups))
-	for _, g := range e.groups {
+	gs := make([]*Group, 0, len(e.groupMap()))
+	for _, g := range e.groupMap() {
 		gs = append(gs, g)
 	}
 	e.mu.Unlock()

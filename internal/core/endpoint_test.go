@@ -24,7 +24,8 @@ type fakeSend struct {
 
 func (f *fakeTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	// Transport contract: wire is the sender's scratch buffer, not ours.
-	f.sent = append(f.sent, fakeSend{from, group, dests, append([]byte(nil), wire...)})
+	// So is dests: a pooled send downcall (Context.SendTo) reuses it.
+	f.sent = append(f.sent, fakeSend{from, group, append([]core.EndpointID(nil), dests...), append([]byte(nil), wire...)})
 }
 
 func (f *fakeTransport) SetTimer(d time.Duration, fn func()) func() {

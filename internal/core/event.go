@@ -208,6 +208,11 @@ type Event struct {
 
 	// Dump accumulates per-layer diagnostics for the dump downcall.
 	Dump []string
+
+	// pool is set on a send downcall drawn from its stack's free list
+	// (Context.SendTo); the stack takes it back once the bottom layer's
+	// Down returns.
+	pool *downcall
 }
 
 // NewCast builds a cast downcall for msg.

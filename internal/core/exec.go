@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"horus/internal/message"
-)
+import "sync"
 
 // executor is the event-queue execution model the paper reports moving
 // to (§3 end, §10 item 2): rather than locking layers against
@@ -29,16 +25,6 @@ type task struct {
 	fn func()   // closure entry; nil for a packet
 	g  *Group   // packet entry: the group whose stack receives it
 	in *inbound // packet entry: the parsed arrival
-}
-
-// inbound is one arrival's event and message in a single allocation.
-// The message's header and body share one slab (message.UnmarshalInto),
-// so a packet costs exactly two allocations on its way to the stack.
-// Layers that buffer the event (NAK pending, TOTAL buffer, ...) keep
-// the whole object alive; nothing recycles it.
-type inbound struct {
-	ev  Event
-	msg message.Message
 }
 
 // run executes one entry.

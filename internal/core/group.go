@@ -130,11 +130,14 @@ func (g *Group) down(ev *Event) {
 
 // deliver receives events emerging from the top of the stack, updates
 // the group object's cached state, and invokes the application handler.
+// Invoking the handler keeps the packet being processed, if any: a
+// handler may retain ev and ev.Msg.
 func (g *Group) deliver(ev *Event) {
 	if ev.Type == UView && ev.View != nil {
 		g.view = ev.View
 	}
 	if g.handler != nil {
+		g.ep.keepCurrent()
 		g.handler(ev)
 	}
 }
@@ -155,7 +158,9 @@ func (g *Group) close(destroy bool) {
 		g.deliver(&Event{Type: UExit})
 	})
 	g.ep.mu.Lock()
-	delete(g.ep.groups, g.addr)
+	if g.ep.groupMap()[g.addr] == g {
+		g.ep.setGroupLocked(g.addr, nil)
+	}
 	g.ep.mu.Unlock()
 	if reg, ok := g.ep.transport.(GroupRegistrar); ok {
 		reg.LeaveGroup(g.ep.id, g.addr)

@@ -48,7 +48,9 @@ type StackSpec []Factory
 // It is the "top-most module that converts the Horus protocol
 // abstraction into one matching the needs of a user" (paper §2).
 // Handlers run on the endpoint's event queue; they may issue downcalls
-// (Cast, Ack, ...) freely — those are enqueued, not recursive.
+// (Cast, Ack, ...) freely — those are enqueued, not recursive. A handler
+// may retain ev and ev.Msg: a packet whose processing reaches the
+// handler is never recycled (see Context.Keep).
 type Handler func(ev *Event)
 
 // Context is a layer's window onto its position in a stack. It carries
@@ -78,6 +80,9 @@ func (c *Context) Down(ev *Event) {
 	j := c.stack.skipNextDown(ev.Type, c.index+1, n)
 	if j < n {
 		c.stack.layers[j].Down(ev)
+		if j == n-1 && ev.pool != nil {
+			c.stack.releaseDowncall(ev)
+		}
 		return
 	}
 	switch ev.Type {
@@ -105,6 +110,66 @@ func (c *Context) Up(ev *Event) {
 	}
 	c.stack.deliverUp(ev)
 }
+
+// SendTo passes a send downcall of msg to the single destination dst
+// down the stack, like Down(&Event{Type: DSend, Msg: msg, Dests:
+// []EndpointID{dst}}) but without allocating: the event and its
+// destination set come from the stack's free list and return to it
+// when the bottom layer's Down returns. This is the hand-off rule of
+// pooled messages, applied to the event: layers below may queue the
+// event and pass it on later, but no layer reads a send downcall after
+// passing it down. A downcall that never reaches the bottom is simply
+// not reused.
+func (c *Context) SendTo(dst EndpointID, msg *message.Message) {
+	s := c.stack
+	var d *downcall
+	if k := len(s.downcalls); k > 0 {
+		d = s.downcalls[k-1]
+		s.downcalls = s.downcalls[:k-1]
+	} else {
+		d = new(downcall)
+	}
+	d.dst[0] = dst
+	d.ev = Event{Type: DSend, Msg: msg, Dests: d.dst[:], pool: d}
+	c.Down(&d.ev)
+}
+
+// downcall is one pooled send downcall: the event and the backing
+// array of its one-element destination set.
+type downcall struct {
+	ev  Event
+	dst [1]EndpointID
+}
+
+// maxFreeDowncalls caps a stack's downcall free list. Downcalls are
+// released as soon as they clear the bottom layer, so a handful covers
+// the nesting a single event-queue step produces.
+const maxFreeDowncalls = 4
+
+// releaseDowncall takes a pooled send downcall back after the bottom
+// layer's Down returned. An event that merely copies a pooled one is
+// not the pool's and is left alone.
+func (s *Stack) releaseDowncall(ev *Event) {
+	d := ev.pool
+	if &d.ev != ev {
+		return
+	}
+	*d = downcall{}
+	if len(s.downcalls) < maxFreeDowncalls {
+		s.downcalls = append(s.downcalls, d)
+	}
+}
+
+// Keep marks the packet being processed as retained: a layer that
+// stores ev — or anything reaching into its message, such as a
+// sub-slice of ev.Msg.Body() — past the return of its Up must call Keep
+// before the store. Without it the endpoint recycles the packet once
+// the stack's Up returns: the event is zeroed and the message's bytes
+// are overwritten, ready for the next arrival. Keep is sticky and
+// idempotent; outside a packet's Up (a timer, a downcall) there is
+// nothing to recycle and it does nothing. ownlint checks that every
+// Up-side store is preceded by a Keep.
+func (c *Context) Keep(ev *Event) { c.stack.group.ep.keepCurrent() }
 
 // Transmit hands wire bytes for msg to the transport, addressed to
 // dests. Only the bottom (COM) layer calls this. The wire image is

@@ -21,6 +21,10 @@ type Stack struct {
 	// path marshals every transmission here. Only the event queue
 	// touches it, and transports never retain the bytes.
 	wire []byte
+
+	// downcalls is the free list of Context.SendTo. Only the event
+	// queue touches it.
+	downcalls []*downcall
 }
 
 // newStack instantiates every factory in spec, wires contexts, runs

@@ -14,9 +14,10 @@ type Transport interface {
 	// destination, best effort. An empty dests slice means "all
 	// endpoints attached to the group address" (used before any view
 	// is known, e.g. by merge discovery). The transport must not
-	// retain wire after Send returns: both send paths pass a per-stack
-	// scratch buffer (the compiled plan's, Context.Transmit's) that is
-	// overwritten by the next transmission. Both fabrics honour this —
+	// retain wire or dests after Send returns: both send paths pass a
+	// per-stack scratch buffer (the compiled plan's, Context.Transmit's)
+	// that is overwritten by the next transmission, and a pooled send
+	// downcall (Context.SendTo) reuses its destination set. Both fabrics honour this —
 	// netsim copies once per fan-out, udpnet frames into its own
 	// buffer. The receive side mirrors the rule: Endpoint.Deliver
 	// never retains wire either, so a transport may deliver straight

@@ -61,6 +61,10 @@ type fpRun struct {
 	stats    core.PlanStats
 	hasPlan  bool
 	schedule int // casts issued
+
+	// NAK activity, for the receive arm: buffered out-of-order arrivals
+	// (kept packets) and status gossip (packets consumed and recycled).
+	nakOutOfOrder, nakStatus int
 }
 
 func newFPRun() *fpRun {
@@ -142,8 +146,14 @@ func fpBody(rng *rand.Rand, i int) []byte {
 // releases each one after transmitting it.
 func runSimScenario(t *testing.T, desc string, seed int64, fast, pooled bool) *fpRun {
 	t.Helper()
+	return runSimScenarioOn(t, desc, seed, fast, pooled, netsim.Link{Delay: time.Millisecond})
+}
+
+// runSimScenarioOn is runSimScenario over the given default link.
+func runSimScenarioOn(t *testing.T, desc string, seed int64, fast, pooled bool, link netsim.Link) *fpRun {
+	t.Helper()
 	r := newFPRun()
-	net := netsim.New(netsim.Config{Seed: seed, DefaultLink: netsim.Link{Delay: time.Millisecond}})
+	net := netsim.New(netsim.Config{Seed: seed, DefaultLink: link})
 	spec, err := stackreg.Build(desc, property.P1)
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +230,13 @@ func runSimScenario(t *testing.T, desc string, seed int64, fast, pooled bool) *f
 	sa, sb := ga.Stack().PlanStats(), gb.Stack().PlanStats()
 	r.stats = core.PlanStats{Fast: sa.Fast + sb.Fast, Fallback: sa.Fallback + sb.Fallback}
 	r.hasPlan = ga.Stack().HasCastPlan()
+	for _, g := range []*core.Group{ga, gb} {
+		if l, ok := g.Focus("NAK").(*nak.Nak); ok {
+			st := l.Stats()
+			r.nakOutOfOrder += st.OutOfOrder
+			r.nakStatus += st.StatusSent
+		}
+	}
 	return r
 }
 
@@ -265,6 +282,42 @@ func TestFastPathDifferentialSim(t *testing.T) {
 			}
 			if refRun.stats.Fast != 0 {
 				t.Fatalf("reference run leaked %d casts onto the fast path", refRun.stats.Fast)
+			}
+		})
+	}
+}
+
+// receiveArmStacks are the stacks whose receive paths keep packets
+// (NAK's out-of-order buffer, TOTAL's order buffer, MBRSHIP's
+// future-view buffer) next to packets consumed inside the stack.
+var receiveArmStacks = []string{
+	"NAK:COM",
+	"FRAG:NAK:COM",
+	"MBRSHIP:FRAG:NAK:COM",
+	"TOTAL:MBRSHIP:FRAG:NAK:COM",
+}
+
+// TestFastPathDifferentialReceive is the receive arm: over a link that
+// loses, duplicates and reorders, the fast path recycles every inbound
+// packet nothing kept while the reference path never recycles one. Any
+// layer that retained a packet without Keep would read recycled bytes
+// on the fast path only, and the transmit streams or delivery orders
+// would differ.
+func TestFastPathDifferentialReceive(t *testing.T) {
+	link := netsim.Link{
+		Delay: time.Millisecond, Jitter: 2 * time.Millisecond,
+		LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.2,
+	}
+	for si, desc := range receiveArmStacks {
+		desc := desc
+		seed := int64(301 + si)
+		t.Run(desc, func(t *testing.T) {
+			fastRun := runSimScenarioOn(t, desc, seed, true, false, link)
+			refRun := runSimScenarioOn(t, desc, seed, false, false, link)
+			requireSameRuns(t, "fast vs reference receive", fastRun, refRun)
+			if fastRun.nakOutOfOrder == 0 || fastRun.nakStatus == 0 {
+				t.Fatalf("receive arm never buffered out of order (%d) or gossiped status (%d)",
+					fastRun.nakOutOfOrder, fastRun.nakStatus)
 			}
 		})
 	}

@@ -59,6 +59,7 @@ func (c *Causal) Up(ev *core.Event) {
 			return
 		}
 		c.stats.Buffered++
+		c.Ctx.Keep(ev)
 		c.waiting = append(c.waiting, ev)
 	case core.UView:
 		c.view = ev.View

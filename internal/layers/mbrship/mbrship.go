@@ -528,6 +528,7 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		// so a prompt sender can outrun the coordinator's kView. Hold
 		// the message until our view catches up.
 		if len(m.future) < maxFutureBuffer {
+			m.Ctx.Keep(ev)
 			ev.Msg.PushUint64(seq) // restore the header for replay
 			wire.PushEndpointID(ev.Msg, coord)
 			ev.Msg.PushUint64(epoch)

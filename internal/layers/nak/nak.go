@@ -204,7 +204,7 @@ func (n *Nak) Down(ev *core.Event) {
 			m.PushUint64(seq)
 			m.PushUint8(kindUniData)
 			n.stats.DataSent++
-			n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{dst}})
+			n.Ctx.SendTo(dst, m)
 		}
 	case core.DView:
 		n.applyView(ev)
@@ -347,6 +347,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
 			return
 		}
 		n.stats.OutOfOrder++
+		n.Ctx.Keep(ev)
 		in.pending[seq] = ev
 		n.sendNak(ev.Source, in, stream)
 	}
@@ -405,7 +406,7 @@ func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, 
 	m.PushUint8(stream)
 	m.PushUint8(kindNak)
 	n.stats.NaksSent++
-	n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{src}})
+	n.Ctx.SendTo(src, m)
 	if in.nakTimer != nil {
 		in.nakTimer()
 	}
@@ -452,7 +453,7 @@ func (n *Nak) receiveNak(ev *core.Event) {
 		m.PushUint8(stream)
 		m.PushUint8(kindPlaceholder)
 		n.stats.Placeholders++
-		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
+		n.Ctx.SendTo(ev.Source, m)
 		phLo = 0
 	}
 	for seq := lo; seq <= hi; seq++ {
@@ -462,7 +463,7 @@ func (n *Nak) receiveNak(ev *core.Event) {
 			m.PushUint64(seq)
 			m.PushUint8(kind)
 			n.stats.Retransmits++
-			n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
+			n.Ctx.SendTo(ev.Source, m)
 		} else if phLo == 0 {
 			phLo = seq
 		}
@@ -552,21 +553,11 @@ func (n *Nak) sendStatus() {
 		wire.PushIDList(m, n.statusSrcs)
 		m.PushUint8(kindStatus)
 		n.stats.StatusSent++
-		// The event and its one-element destination set are a single
-		// allocation; the message is pooled and released by the
-		// transmit below us.
-		st := &statusSend{ev: core.Event{Type: core.DSend, Msg: m}}
-		st.dst[0] = dst
-		st.ev.Dests = st.dst[:]
-		n.Ctx.Down(&st.ev)
+		// Nothing here allocates: the message is pooled and released
+		// by the transmit below us, the downcall event by the stack
+		// once it has cleared the bottom layer.
+		n.Ctx.SendTo(dst, m)
 	}
-}
-
-// statusSend is one status unicast's downcall: the event and the
-// backing array of its destination set in one object.
-type statusSend struct {
-	ev  core.Event
-	dst [1]core.EndpointID
 }
 
 // refreshStatusTable rebuilds the cached status table — the cast

@@ -85,6 +85,7 @@ func (s *Safe) Up(ev *core.Event) {
 // hold buffers ev in per-origin sequence order.
 func (s *Safe) hold(ev *core.Event) {
 	s.stats.Held++
+	s.Ctx.Keep(ev)
 	q := s.held[ev.ID.Origin]
 	q = append(q, ev)
 	sort.Slice(q, func(i, j int) bool { return q[i].ID.Seq < q[j].ID.Seq })

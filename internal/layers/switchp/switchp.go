@@ -519,6 +519,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 		// The sender already committed an epoch we have not reached —
 		// hold the data for after our own swap.
 		if len(sw.pendingHigh) < pendingHighCap {
+			sw.Ctx.Keep(ev)
 			sw.pendingHigh = append(sw.pendingHigh, pendingData{epoch: e, ev: ev})
 			return
 		}

@@ -378,6 +378,7 @@ func (t *Total) receiveData(ev *core.Event) {
 	if ord <= t.delivered {
 		return
 	}
+	t.Ctx.Keep(ev)
 	t.buffer[ord] = ev
 	t.drain()
 }

@@ -30,14 +30,25 @@ func (c *Capture) Name() string { return c.name }
 
 // Down implements core.Layer.
 func (c *Capture) Down(ev *core.Event) {
-	c.DownEvents = append(c.DownEvents, ev)
+	rec := ev
+	if c.absorb && ev.Type == core.DSend {
+		// The stack takes a pooled send downcall (Context.SendTo)
+		// back once the bottom layer's Down returns, and the bottom
+		// capture is that layer: record a detached copy.
+		cp := *ev
+		cp.Dests = append([]core.EndpointID(nil), ev.Dests...)
+		rec = &cp
+	}
+	c.DownEvents = append(c.DownEvents, rec)
 	if !c.absorb {
 		c.Ctx.Down(ev)
 	}
 }
 
-// Up implements core.Layer.
+// Up implements core.Layer. The capture retains every event it sees,
+// so it keeps the packet behind it.
 func (c *Capture) Up(ev *core.Event) {
+	c.Ctx.Keep(ev)
 	c.UpEvents = append(c.UpEvents, ev)
 	c.Ctx.Up(ev)
 }

@@ -250,7 +250,7 @@ func FromParts(hdr, body []byte) *Message {
 // message with fresh headroom.
 func Unmarshal(wire []byte) (*Message, error) {
 	m := new(Message)
-	if err := UnmarshalInto(m, wire); err != nil {
+	if _, err := UnmarshalInto(m, wire, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -258,16 +258,19 @@ func Unmarshal(wire []byte) (*Message, error) {
 
 // UnmarshalInto is Unmarshal into caller-provided storage: m is
 // overwritten with a message parsed from wire, leaving m untouched on
-// error. The endpoint's receive path embeds the Message in its inbound
-// entry, so one packet costs the entry and the slab below and nothing
-// else. wire is copied, never retained.
-func UnmarshalInto(m *Message, wire []byte) error {
+// error. wire is copied, never retained. The copy lands in one slab
+// holding headroom, header and body; slab offers storage to reuse, and
+// is used when its capacity fits (a nil or short slab means a fresh
+// allocation). The returned slab is the storage now backing m: the
+// endpoint's receive path hands it back on the next packet once m is
+// dead, so a recycled packet costs no allocation at all.
+func UnmarshalInto(m *Message, wire, slab []byte) ([]byte, error) {
 	if len(wire) < 4 {
-		return fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
+		return slab, fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
 	}
 	hlen := int(binary.BigEndian.Uint32(wire))
 	if hlen < 0 || 4+hlen > len(wire) {
-		return fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
+		return slab, fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
 	}
 	hdr := wire[4 : 4+hlen]
 	// One slab serves header and body: buf is the front slice, body the
@@ -276,12 +279,16 @@ func UnmarshalInto(m *Message, wire []byte) error {
 	// buf's capacity are never touched. Halves the per-packet
 	// allocations on the delivery path.
 	blen := len(wire) - 4 - hlen
-	slab := make([]byte, defaultHeadroom+hlen+blen)
+	need := defaultHeadroom + hlen + blen
+	if cap(slab) < need {
+		slab = make([]byte, need)
+	}
+	slab = slab[:need]
 	copy(slab[defaultHeadroom:], hdr)
-	body := slab[defaultHeadroom+hlen:]
+	body := slab[defaultHeadroom+hlen : need : need] // a reused slab may be longer
 	copy(body, wire[4+hlen:])
 	*m = Message{buf: slab[:defaultHeadroom+hlen], off: defaultHeadroom, body: body}
-	return nil
+	return slab, nil
 }
 
 // Equal reports whether two messages have identical header bytes and

@@ -104,6 +104,12 @@ type Network struct {
 	rules     *Rules
 	nextBirth uint64
 	stats     Stats // Sent, Delivered, Bytes; the Ledger lives in rules
+
+	// Free lists of the per-packet objects (see recycle.go). Only
+	// delivery events and shared fan-out buffers are recycled.
+	freeEvents []*event
+	freeBufs   [numBufClasses][]*sharedBuf
+	freeBytes  int
 }
 
 // New creates a network.
@@ -329,55 +335,68 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 	}
 	// One defensive copy shared by the whole fan-out: the caller may
 	// reuse wire after Send returns, but deliveries only read the
-	// buffer (Deliver unmarshals into fresh storage), so per-
-	// destination copies are needed only when a link garbles bytes in
-	// flight — the rules clone on that path alone.
-	shared := make([]byte, len(wire))
-	copy(shared, wire)
+	// buffer (Deliver never retains wire), so per-destination copies
+	// are needed only when a link garbles bytes in flight — the rules
+	// clone on that path alone. The copy is reference counted: Send
+	// holds one reference for the fan-out, every scheduled or held
+	// copy one more, and the last release puts it on a free list.
+	shared := n.getBufLocked(wire)
 	for _, dst := range targets {
 		n.sendOneLocked(from, group, dst, shared)
 	}
+	n.releaseBufLocked(shared)
 }
 
-// sendOneLocked routes one copy of wire toward dst through the link
-// rules. wire is the fan-out's shared defensive copy: the rules never
-// mutate it (a garbled copy is a clone). Caller holds n.mu.
-func (n *Network) sendOneLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, wire []byte) {
+// sendOneLocked routes one copy of the fan-out's shared defensive copy
+// toward dst through the link rules. The rules never mutate it (a
+// garbled copy is a clone of its own, never counted). Caller holds
+// n.mu.
+func (n *Network) sendOneLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, shared *sharedBuf) {
 	n.stats.Sent++
 	adm := n.rules.Admit(from, dst, n.endpoints[dst] != nil)
 	for i := 0; i < adm.Copies; i++ {
-		c := n.rules.DrawCopy(adm.Link, wire)
+		c := n.rules.DrawCopy(adm.Link, shared.b)
 		if c.Lost {
 			continue
 		}
+		ref := shared
+		if c.Clone {
+			ref = nil
+		} else {
+			shared.refs++
+		}
 		if c.Hold {
-			n.rules.Hold(from, dst, adm.Link, n.releaser(from, group, dst, c.Buf), n.backstopLocked)
+			// A parked copy keeps its reference until its release
+			// transmits or drops it.
+			n.rules.Hold(from, dst, adm.Link, n.releaser(from, group, dst, c.Buf, ref), n.backstopLocked)
 			continue
 		}
-		n.transmitLocked(from, group, dst, c.Buf)
+		n.transmitLocked(from, group, dst, c.Buf, ref)
 		n.rules.Depart(from, dst)
 	}
 }
 
 // transmitLocked times one packet on the directed link and schedules
-// its delivery. Caller holds n.mu.
-func (n *Network) transmitLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) {
+// its delivery. ref is the shared buffer buf lies in (nil for a
+// private clone); the scheduled delivery takes over its reference, a
+// dropped packet releases it. Caller holds n.mu.
+func (n *Network) transmitLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte, ref *sharedBuf) {
 	ep := n.endpoints[dst]
 	delay, ok := n.rules.Transmit(from, dst, ep != nil, n.now, len(buf))
 	if !ok {
+		n.releaseBufLocked(ref)
 		return
 	}
-	// A delivery is plain data on the event, not a closure: one
-	// allocation per packet in flight instead of two.
-	ev := n.scheduleLocked(n.now+delay, nil)
-	ev.dstEp, ev.dst, ev.group, ev.buf = ep, dst, group, buf
+	// A delivery is plain data on a recycled event, not a closure.
+	ev := n.deliveryLocked(n.now + delay)
+	ev.dstEp, ev.dst, ev.group, ev.buf, ev.shared = ep, dst, group, buf, ref
 }
 
 // releaser returns the release of a held packet: it transmits the
 // packet under the rules in force at that moment. Caller holds n.mu
 // when calling the result.
-func (n *Network) releaser(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) func() {
-	return func() { n.transmitLocked(from, group, dst, buf) }
+func (n *Network) releaser(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte, ref *sharedBuf) func() {
+	return func() { n.transmitLocked(from, group, dst, buf, ref) }
 }
 
 // backstopLocked arms a reorder hold's backstop as a virtual-time
@@ -391,7 +410,9 @@ func (n *Network) backstopLocked(d time.Duration, fireLocked func()) {
 }
 
 // deliver runs a delivery event: the packet reaches its endpoint
-// unless the endpoint crashed while it was in flight.
+// unless the endpoint crashed while it was in flight. Either way the
+// event and its buffer reference are released afterwards: Deliver
+// never retains wire.
 func (n *Network) deliver(ev *event) {
 	n.mu.Lock()
 	dead := n.rules.Crashed(ev.dst)
@@ -403,10 +424,15 @@ func (n *Network) deliver(ev *event) {
 	if !dead {
 		ev.dstEp.Deliver(ev.group, ev.buf)
 	}
+	n.mu.Lock()
+	n.releaseBufLocked(ev.shared)
+	n.freeEventLocked(ev)
+	n.mu.Unlock()
 }
 
 // SetTimer schedules fn after d of virtual time. Part of
-// core.Transport.
+// core.Transport. Timer events are never recycled: the returned cancel
+// writes to its event whenever it is called, fired or not.
 func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -430,7 +456,13 @@ func (n *Network) At(t time.Duration, fn func()) {
 }
 
 func (n *Network) scheduleLocked(t time.Duration, fn func()) *event {
-	ev := &event{at: t, seq: n.seq, fn: fn}
+	return n.pushLocked(&event{at: t, fn: fn})
+}
+
+// pushLocked stamps ev with the next schedule sequence number and
+// queues it. Caller holds n.mu.
+func (n *Network) pushLocked(ev *event) *event {
+	ev.seq = n.seq
 	n.seq++
 	heap.Push(&n.events, ev)
 	return ev
@@ -524,10 +556,11 @@ type event struct {
 	fn        func()
 	cancelled bool
 
-	dstEp *core.Endpoint
-	dst   core.EndpointID
-	group core.GroupAddr
-	buf   []byte
+	dstEp  *core.Endpoint
+	dst    core.EndpointID
+	group  core.GroupAddr
+	buf    []byte
+	shared *sharedBuf // the reference buf holds; nil for a clone
 }
 
 // eventHeap is a min-heap over (at, seq).

@@ -270,9 +270,10 @@ func (r *Rules) Admit(from, to core.EndpointID, attached bool) Admission {
 
 // Copy is the fate of one copy of an admitted packet.
 type Copy struct {
-	Buf  []byte // the bytes to carry: the original or a garbled clone
-	Lost bool   // dropped by the loss rule
-	Hold bool   // parked by the reorder rule: route it through Hold
+	Buf   []byte // the bytes to carry: the original or a garbled clone
+	Lost  bool   // dropped by the loss rule
+	Hold  bool   // parked by the reorder rule: route it through Hold
+	Clone bool   // Buf is a private garbled clone, not the offered buffer
 }
 
 // DrawCopy applies the per-copy rules of l to buf: loss, then
@@ -284,13 +285,15 @@ func (r *Rules) DrawCopy(l Link, buf []byte) Copy {
 		r.ledger.Lost++
 		return Copy{Lost: true}
 	}
+	clone := false
 	if l.GarbleRate > 0 && len(buf) > 0 && r.rng.Float64() < l.GarbleRate {
 		buf = append([]byte(nil), buf...)
 		buf[r.rng.Intn(len(buf))] ^= byte(1 + r.rng.Intn(255))
 		r.ledger.Garbled++
+		clone = true
 	}
 	hold := l.ReorderRate > 0 && r.rng.Float64() < l.ReorderRate
-	return Copy{Buf: buf, Hold: hold}
+	return Copy{Buf: buf, Hold: hold, Clone: clone}
 }
 
 // Transmit times one copy of size bytes leaving from toward to at time
